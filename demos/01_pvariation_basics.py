@@ -44,7 +44,7 @@ def main():
         fast = pvar(zig, 2.5).value
         slow = pvar_bruteforce(zig, 2.5).value
         print("trial %d: dynamic program %.12g   all-subsequence max %.12g" % (trial, fast, slow))
-    print("\nThe dynamic program walks O(n^2) edges; the oracle tries all")
+    print("\nThe dynamic program walks O(n k) edges for k distinct values; the oracle tries all")
     print("2^(n-1) subsequences. They must agree to the last bit of the search,")
     print("which is the backbone correctness check of the whole library.")
 

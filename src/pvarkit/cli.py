@@ -65,7 +65,6 @@ class RunConfig:
     cap: int = SPIKE_CAP
     strict: bool = False
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.p < 1.0:
@@ -78,8 +77,6 @@ class RunConfig:
             raise ValueError("depth schedule must be strictly increasing")
         if self.cap < 2:
             raise ValueError("cap must be at least 2")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 def _load_json(path: str):
@@ -117,16 +114,6 @@ def _parse_depths(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise _ParseFailure("depth schedule must be comma-separated integers") from exc
-
-
-def _resolve_threads(flag_value: int) -> int:
-    env = os.environ.get("PVARKIT_THREADS")
-    if env is None:
-        return flag_value
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise _ParseFailure("PVARKIT_THREADS must be an integer, got %r" % env) from exc
 
 
 def _load_path(path: str) -> DiscretePath:
@@ -226,7 +213,6 @@ def cmd_lab(args) -> int:
             cap=args.cap,
             strict=args.strict,
             seed=args.seed,
-            threads=_resolve_threads(args.threads),
         )
     except ValueError as exc:
         raise _ParseFailure(str(exc)) from exc
@@ -253,7 +239,6 @@ def cmd_lab(args) -> int:
             depths=config.depths,
             cap=config.cap,
             strict=config.strict,
-            threads=config.threads,
             generator=gen,
         )
         report = outcome.report
@@ -344,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--eps", type=float, default=0.01, help="covering radius (example3)")
     p_lab.add_argument("--gen", help="generator JSON overriding the default map")
     p_lab.add_argument("--seed", type=int, default=0)
-    p_lab.add_argument("--threads", type=int, default=1)
     p_lab.add_argument("--out", required=True, help="CSV report file")
     p_lab.add_argument("--json", help="JSON summary file (default: out with .json)")
     p_lab.set_defaults(handler=cmd_lab)

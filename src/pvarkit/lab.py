@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -319,10 +318,10 @@ def step4_total_bound(p: float, r: float, terms: int = 10 ** 6) -> float:
     """
     p = float(p)
     i = np.arange(1, terms + 1, dtype=float)
-    return float(
+    return (
         2.0 ** p * float(r) ** p
-        + 2.0 ** (p + 1.0) * np.sum(1.0 / (i * i))
-        + 2.0 ** (2.0 * p + 1.0) * np.sum(i ** (-2.0 * p))
+        + 2.0 ** (p + 1.0) * math.fsum(memoryview(1.0 / (i * i)))
+        + 2.0 ** (2.0 * p + 1.0) * math.fsum(memoryview(i ** (-2.0 * p)))
     )
 
 
@@ -388,7 +387,6 @@ def run_divergence_step6(
     depths: Sequence[int] | None = None,
     cap: int = SPIKE_CAP,
     strict: bool = False,
-    threads: int = 1,
 ) -> DivergenceReport:
     """Measure var_q of the composed spike path against its claimed growth.
 
@@ -432,15 +430,10 @@ def run_divergence_step6(
     prefix = np.cumsum(claims)
     bounds = [float(prefix[d - 1]) for d in depths]
 
-    def measure(d: int) -> float:
-        path = gen_step4_path(p, q, pairs, d, cap, strict)
-        return pvar(compose_path(f, path), q).value
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            quantities = list(pool.map(measure, depths))
-    else:
-        quantities = [measure(d) for d in depths]
+    quantities = [
+        pvar(compose_path(f, gen_step4_path(p, q, pairs, d, cap, strict)), q).value
+        for d in depths
+    ]
     return DivergenceReport.build(depths, quantities, bounds)
 
 
@@ -577,7 +570,6 @@ def step4_divergence_experiment(
     strict: bool = False,
     j_lo: int = 10,
     j_hi: int = 40,
-    threads: int = 1,
     generator: Generator | None = None,
 ) -> Step4Experiment:
     """End-to-end divergence run for the power map with beta = p / (2 q).
@@ -596,7 +588,7 @@ def step4_divergence_experiment(
     depths = sorted({_check_depth(d) for d in depths})
     pairs = find_holder_violators(f, p, q, M, candidates, depths[-1])
     report = run_divergence_step6(
-        f, p, q, pairs, M=M, depths=depths, cap=cap, strict=strict, threads=threads
+        f, p, q, pairs, M=M, depths=depths, cap=cap, strict=strict
     )
     return Step4Experiment(report, f, pairs, M, p, q, cap, strict)
 
@@ -619,7 +611,8 @@ def example3_experiment(
     """1-variation against its closed-form bound, plus epsilon-net sizes."""
     depths = sorted({_check_depth(d) for d in depths})
     i = np.arange(1, bound_terms + 1, dtype=float)
-    bound = 1.0 + float(np.sum(1.0 / ((i + 1.0) * (i + 1.0))))
+    # a memoryview hands fsum Python floats, twice as fast as numpy scalars
+    bound = 1.0 + math.fsum(memoryview(1.0 / ((i + 1.0) * (i + 1.0))))
     quantities, covers, counts = [], [], []
     for d in depths:
         path = gen_example3(d)

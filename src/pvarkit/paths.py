@@ -19,8 +19,8 @@ from .spaces import Vector, VectorSpace, coordinate_matrix
 
 __all__ = ["DiscretePath", "MAX_SAMPLES"]
 
-# Soft cap on the number of samples; the quadratic engine becomes the
-# bottleneck long before memory does.  Adjust at module level if needed.
+# Soft cap on the number of samples; the O(n k d) engine (k distinct values)
+# becomes the bottleneck long before memory does.  Adjust at module level.
 MAX_SAMPLES = 200_000
 
 
@@ -82,9 +82,15 @@ class DiscretePath:
         return len(self.values)
 
     def coordinate_matrix(self) -> np.ndarray:
-        """The (samples, d) coordinate embedding of the values, cached."""
+        """The (samples, d) coordinate embedding of the values, cached.
+
+        Rejects NaN and infinite coordinates, which the engine cannot group.
+        """
         if self._matrix is None:
-            object.__setattr__(self, "_matrix", coordinate_matrix(self.values))
+            mat = coordinate_matrix(self.values)
+            if not np.isfinite(mat).all():
+                raise PathInvariantError("values must have finite coordinates")
+            object.__setattr__(self, "_matrix", mat)
         return self._matrix
 
     def restrict(self, c: float, d: float) -> "DiscretePath":

@@ -1,23 +1,23 @@
 """p-variation of discrete paths.
 
 ``pvar`` maximises the sum of p-th powers of increment norms over
-subsequences of the sample indices with an O(n^2) dynamic program;
-``pvar_bruteforce`` enumerates every subsequence literally and exists as an
-independent oracle for the engine, guarded to small paths.  The two must
-agree to floating precision and tests hold them to that.
+subsequences of the sample indices with a dynamic program that groups
+predecessors by value, at O(n k d) cost for n samples, k distinct values
+and d coordinates; ``pvar_bruteforce`` enumerates every subsequence
+literally and exists as an independent oracle for the engine, guarded to
+small paths.  Tests hold the two to bit-for-bit agreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidExponent, TooLarge
 from .paths import DiscretePath
-from .spaces import diff_norm, norm as vector_norm, row_norms
+from .spaces import _reduce_abs, diff_norm, norm as vector_norm, row_norms
 
 __all__ = [
     "PVarResult",
@@ -63,24 +63,78 @@ def _check_exponent(p: float) -> float:
     return p
 
 
+def _distinct_rows(mat: np.ndarray) -> tuple[Sequence[int], np.ndarray]:
+    """Code of each row, numbered by first appearance, and the distinct rows.
+
+    A stable sort of row indices and a neighbour comparison per column find
+    equal rows without copying ``mat``, returned as is if all are distinct.
+    """
+    s, d = mat.shape
+    order = np.lexsort(mat.T[::-1]) if d else np.arange(s)
+    new = np.zeros(s, dtype=bool)
+    new[0] = True
+    for col in mat.T:
+        srt = col[order]
+        new[1:] |= srt[1:] != srt[:-1]
+    heads = order[new]  # the stable sort puts each group's first index first
+    if heads.size == s:
+        return range(s), mat
+    lead = np.empty(s, dtype=np.intp)
+    lead[order] = heads[np.cumsum(new) - 1]
+    heads.sort()
+    return np.searchsorted(heads, lead).tolist(), mat[heads]
+
+
 def pvar(path: DiscretePath, p: float) -> PVarResult:
     """Exact p-variation of ``path`` by dynamic programming.
 
-    Runs the O(n^2) recurrence V[i] = max_{j<i} V[j] + d(j, i)^p with
-    V[0] = 0 and backtracks one optimising partition.  Ties are broken
-    toward the smallest predecessor index, so the output is deterministic.
+    Solves V[i] = max_{j<i} V[j] + d(j, i)^p with V[0] = 0 and backtracks
+    one optimising partition.  The recurrence depends on j only through
+    its value, so each step scans the distinct values seen so far with the
+    best V of each: O(n k d) for k distinct values.  Ties go to the
+    smallest predecessor index, so the output is deterministic.
     """
     p = _check_exponent(p)
     mat = path.coordinate_matrix()
     kind = path.space.norm
     s = mat.shape[0]
+    codes, rows = _distinct_rows(mat)
+    k = rows.shape[0]
+    top = np.zeros(k)  # best V over the samples of each value
+    arg = [0] * k  # the smallest index reaching it
+    # V never falls along the samples of one value (a repeat adds 0); each
+    # sample that raised its value's best links to the previous one.
+    link = np.full(s, -1)
     best = np.zeros(s)
     pred = np.zeros(s, dtype=np.int64)
+    seen = 1
     for i in range(1, s):
-        cand = best[:i] + row_norms(mat[:i] - mat[i], kind) ** p
-        j = int(np.argmax(cand))  # first maximum = smallest predecessor
-        best[i] = cand[j]
+        c = codes[i]
+        # row_norms with abs in place and the temporary freed: half its peak
+        diff = rows[:seen] - rows[c]
+        gain = _reduce_abs(np.abs(diff, out=diff), kind, axis=1) ** p
+        del diff
+        cand = top[:seen] + gain
+        t = int(cand.argmax())
+        v = cand[t]
+        j = s
+        # Find the smallest index whose V + d^p rounds to v.  Without
+        # repeats, code order is index order and t is that index.
+        for t in (cand == v).nonzero()[0].tolist() if k < s else (t,):
+            r = arg[t]
+            while link[r] >= 0 and best[link[r]] + gain[t] == v:
+                r = link[r]
+            j = min(j, r)
+        best[i] = v
         pred[i] = j
+        if c == seen:
+            seen += 1
+        elif v > top[c]:
+            link[i] = arg[c]
+        else:
+            continue
+        top[c] = v
+        arg[c] = i
     partition = [s - 1]
     while partition[-1] != 0:
         partition.append(int(pred[partition[-1]]))
@@ -88,51 +142,14 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     return PVarResult(p=p, value=float(best[-1]), partition=partition)
 
 
-def _pairwise_powers(path: DiscretePath, p: float) -> np.ndarray:
-    mat = path.coordinate_matrix()
-    diff = mat[:, None, :] - mat[None, :, :]
-    flat = row_norms(diff.reshape(-1, mat.shape[1]), path.space.norm)
-    return flat.reshape(mat.shape[0], mat.shape[0]) ** p
-
-
-@lru_cache(maxsize=8)
-def _subset_tables(size: int):
-    """Flattened consecutive-pair tables for every subsequence of 0..size-1.
-
-    Subsequences always contain both endpoints; interior membership is the
-    binary expansion of the mask.  Returns (prev, nxt, seg) arrays where
-    ``seg`` maps each pair back to its mask.
-    """
-    interior = size - 2
-    prev, nxt, seg = [], [], []
-    for mask in range(1 << interior):
-        seq = [0]
-        seq.extend(i + 1 for i in range(interior) if mask >> i & 1)
-        seq.append(size - 1)
-        for a, b in zip(seq, seq[1:]):
-            prev.append(a)
-            nxt.append(b)
-            seg.append(mask)
-    return (
-        np.array(prev, dtype=np.int64),
-        np.array(nxt, dtype=np.int64),
-        np.array(seg, dtype=np.int64),
-    )
-
-
-def _decode_mask(mask: int, size: int) -> list[int]:
-    out = [0]
-    out.extend(i + 1 for i in range(size - 2) if mask >> i & 1)
-    out.append(size - 1)
-    return out
-
-
 def pvar_bruteforce(path: DiscretePath, p: float) -> PVarResult:
     """p-variation by literal enumeration of all 2^(n-1) subsequences.
 
     Independent of the dynamic program by construction; refuses paths with
-    more than ``BRUTEFORCE_LIMIT`` increments.  The reported partition is
-    the first maximiser in mask enumeration order.
+    more than ``BRUTEFORCE_LIMIT`` increments.  Bit b of a mask puts sample
+    b + 1 in the subsequence, whose ends are always in.  Each sum adds its
+    increments left to right, and the reported partition is the first
+    maximiser in mask order.
     """
     p = _check_exponent(p)
     n = path.n
@@ -141,24 +158,22 @@ def pvar_bruteforce(path: DiscretePath, p: float) -> PVarResult:
             "brute force handles at most %d increments, path has %d"
             % (BRUTEFORCE_LIMIT, n)
         )
-    powers = _pairwise_powers(path, p)
-    size = n + 1
-    if size <= 16:
-        prev, nxt, seg = _subset_tables(size)
-        sums = np.bincount(seg, weights=powers[prev, nxt], minlength=1 << (size - 2))
-        mask = int(np.argmax(sums))
-        value = float(sums[mask])
-    else:
-        rows = powers.tolist()
-        value, mask = -1.0, 0
-        for m in range(1 << (size - 2)):
-            seq = _decode_mask(m, size)
-            total = 0.0
-            for a, b in zip(seq, seq[1:]):
-                total += rows[a][b]
-            if total > value:
-                value, mask = total, m
-    return PVarResult(p=p, value=value, partition=_decode_mask(mask, size))
+    mat = path.coordinate_matrix()
+    diff = mat[:, None, :] - mat[None, :, :]
+    flat = row_norms(diff.reshape(-1, mat.shape[1]), path.space.norm)
+    powers = flat.reshape(n + 1, n + 1) ** p
+    masks = np.arange(1 << (n - 1))
+    every = np.ones(masks.size, dtype=bool)
+    member = [every] + [(masks >> b & 1).astype(bool) for b in range(n - 1)] + [every]
+    sums = np.zeros(masks.size)
+    for a in range(n):
+        last = member[a].copy()  # masks holding a and nothing in (a, b)
+        for b in range(a + 1, n + 1):
+            sums += np.where(last & member[b], powers[a, b], 0.0)
+            last &= ~member[b]
+    mask = int(np.argmax(sums))
+    partition = [0] + [b + 1 for b in range(n - 1) if mask >> b & 1] + [n]
+    return PVarResult(p=p, value=float(sums[mask]), partition=partition)
 
 
 def pvar_restricted(path: DiscretePath, p: float, c: float, d: float) -> PVarResult:

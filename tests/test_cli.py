@@ -8,9 +8,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from pvarkit import cli
 from pvarkit.cli import EXIT_CLAIM, EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
+from pvarkit.operators import Generator
 from pvarkit.paths import DiscretePath
 from pvarkit.spaces import Vector
 from pvarkit.variation import PVarResult, pvar
@@ -130,6 +133,19 @@ def test_bound_check_pass_and_fail(tmp_path, capsys):
     ) == EXIT_INVARIANT
 
 
+def test_bound_check_nan_image_is_invariant_violation(tmp_path, capsys, monkeypatch):
+    _, doc = step_path_doc()
+    inp = write_json(tmp_path / "p.json", doc)
+    gen = write_json(tmp_path / "g.json", {"name": "identity"})
+    nan_map = Generator.custom(lambda v: Vector(v.space, np.array([math.nan])))
+    monkeypatch.setattr(cli, "_load_generator", lambda path: nan_map)
+    assert main(
+        ["bound-check", "--input", inp, "--gen", gen, "--p", "1", "--q", "2"]
+    ) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and "FAILS" not in captured.out
+
+
 def test_lab_step4_writes_csv_and_json(tmp_path):
     out = tmp_path / "report.csv"
     code = main(
@@ -211,18 +227,6 @@ def test_depth_schedule_validation(tmp_path, capsys):
         ["lab", "--experiment", "step4", "--depths", "0,1", "--out", str(out)]
     )
     assert code == EXIT_PARSE
-
-
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("PVARKIT_THREADS", "2")
-    out = tmp_path / "r.csv"
-    assert main(
-        ["lab", "--experiment", "step4", "--depths", "1,2", "--out", str(out)]
-    ) == EXIT_OK
-    monkeypatch.setenv("PVARKIT_THREADS", "zero")
-    assert main(
-        ["lab", "--experiment", "step4", "--depths", "1", "--out", str(out)]
-    ) == EXIT_PARSE
 
 
 def test_missing_input_file_is_parse_error(tmp_path, capsys):

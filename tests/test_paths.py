@@ -83,6 +83,16 @@ def test_coordinate_matrix_cached_and_correct():
     assert p.coordinate_matrix() is m1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coordinate_matrix_rejects_non_finite_values(bad):
+    # Vector() itself does not validate; a generator may build one like this
+    space = Vector.dense([0.0, 0.0]).space
+    values = [Vector.dense([0.0, 1.0]), Vector(space, np.array([1.0, bad]))]
+    path = DiscretePath([0.0, 1.0], values)
+    with pytest.raises(PathInvariantError, match="finite"):
+        path.coordinate_matrix()
+
+
 def test_json_round_trip_preserves_everything():
     p = scalar_path([0.0, 0.25, 1.0], [0.5, -0.125, 2.0])
     q = DiscretePath.from_json(p.to_json())

@@ -1,18 +1,20 @@
 """p-variation: DP against the exhaustive oracle, plus structural identities.
 
-The two routes never share partition logic: one is the O(n^2) recurrence,
-the other enumerates every subsequence.  Keeping both honest is the core
-correctness argument for everything built on top.
+The two routes never share partition logic: one is the dynamic program
+over distinct values, the other enumerates every subsequence.  Keeping both
+honest is the core correctness argument for everything built on top.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvarkit.errors import InvalidExponent, TooLarge
 from pvarkit.paths import DiscretePath
-from pvarkit.spaces import L1, L2, Vector, diff_norm
+from pvarkit.spaces import L1, L2, LINF, LP, Vector, diff_norm, row_norms
 from pvarkit.variation import (
     PVarResult,
     bv_norm,
@@ -186,3 +188,75 @@ def test_sparse_paths_supported():
 def test_result_json_round_trip():
     res = PVarResult(2.0, 4.0, [0, 3])
     assert PVarResult.from_json(res.to_json()) == res
+
+
+# ---------------------------------------------------------------------------
+# properties on paths that revisit a few values
+
+
+def reference_pvar(path, p):
+    """The plain O(n^2) recurrence over every earlier sample, first maximum."""
+    mat = path.coordinate_matrix()
+    s = mat.shape[0]
+    best = np.zeros(s)
+    pred = np.zeros(s, dtype=np.int64)
+    for i in range(1, s):
+        cand = best[:i] + row_norms(mat[:i] - mat[i], path.space.norm) ** p
+        pred[i] = np.argmax(cand)
+        best[i] = cand[pred[i]]
+    partition = [s - 1]
+    while partition[-1] != 0:
+        partition.append(int(pred[partition[-1]]))
+    return float(best[-1]), partition[::-1]
+
+
+@st.composite
+def repeating_paths(draw, max_increments=16):
+    """A path drawn from a pool of at most four values, plus an exponent."""
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=max_increments + 1))
+    kind = draw(st.sampled_from([L1, L2, LINF, LP(1.5)]))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    values = [Vector.dense(row, norm=kind) for row in picks]
+    return DiscretePath([float(t) for t in range(len(values))], values), p
+
+
+@given(repeating_paths())
+@settings(max_examples=150, deadline=None)
+def test_dp_equals_bruteforce_bit_for_bit(case):
+    path, p = case
+    assert pvar(path, p).value == pvar_bruteforce(path, p).value
+
+
+@given(repeating_paths(max_increments=60))
+@settings(max_examples=300, deadline=None)
+def test_dp_partition_realises_value_and_matches_reference(case):
+    path, p = case
+    res = pvar(path, p)
+    part = res.partition
+    assert part[0] == 0 and part[-1] == path.n
+    assert all(a < b for a, b in zip(part, part[1:]))
+    mat = path.coordinate_matrix()
+    total = 0.0
+    for term in row_norms(mat[part[:-1]] - mat[part[1:]], path.space.norm) ** p:
+        total += term
+    assert total == res.value
+    assert (res.value, part) == reference_pvar(path, p)
+
+
+def test_rounding_tie_keeps_smallest_predecessor():
+    # 0 + 1 and 2e-18 + 1 both round to 1, so sample 0 and sample 2 (both
+    # at 0) tie as predecessors of the last sample; the smaller one wins
+    path = scalar_path([0.0, 1e-6, 0.0, 1e-6, 1.0])
+    res = pvar(path, 3.0)
+    assert (res.value, res.partition) == (1.0, [0, 4]) == reference_pvar(path, 3.0)
+
+
+def test_equal_values_on_different_samples_tie_to_smallest_index():
+    # symmetric spikes: 1 and -1 sit at the same distance from 0
+    path = scalar_path([0.0, 1.0, 0.0, -1.0, 0.0, 1.0, -1.0, 0.0])
+    for e in (1.0, 2.0, 3.0):
+        res = pvar(path, e)
+        assert (res.value, res.partition) == reference_pvar(path, e)
