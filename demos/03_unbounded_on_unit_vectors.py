@@ -22,7 +22,7 @@ def main():
         print("%-4d %-9g %g" % (k, bv_norm(x, 1.0), bv_norm(compose_path(f, x), 1.0)))
 
     print()
-    report = gen_example5_experiment(50)
+    report = gen_example5_experiment(range(1, 51))
     print(
         "packaged run, k = 1..50: all exact integers, satisfied = %s"
         % report.all_satisfied

@@ -48,7 +48,7 @@ def main():
     exp = step4_divergence_experiment(p=p, q=q, depths=(1, 2, 4, 8))
     print("\ndepth   var_q(f o x)   claimed n M^q")
     for d, got, bound in zip(*[exp.report.depths, exp.report.quantities,
-                               exp.report.claimed_lower_bounds]):
+                               exp.report.bounds]):
         print("%-7d %-14.6g %.6g" % (d, got, bound))
 
     path8 = gen_step4_path(p, q, exp.pairs, 8)

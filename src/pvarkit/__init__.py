@@ -55,6 +55,7 @@ from .operators import (
 )
 from .lab import (
     BoundReport,
+    ClaimReport,
     DEFAULT_DEPTHS,
     DivergenceReport,
     Example3Experiment,

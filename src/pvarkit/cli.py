@@ -16,14 +16,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NoViolatorFound, PvarkitError
 from .lab import (
-    DEFAULT_DEPTHS,
     SPIKE_CAP,
-    DivergenceReport,
+    _check_depth,
     example3_experiment,
     gen_example5_experiment,
     remark_experiment,
@@ -35,48 +33,16 @@ from .paths import DiscretePath
 from .spaces import Vector, VectorSpace
 from .variation import pvar
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_CLAIM = 4
 
-_LAB_DEFAULT_DEPTHS = {
-    "example3": (10, 100, 1000),
-    "step4": (1, 2, 4, 8),
-    "example5": tuple(range(1, 11)),
-    "thm6": DEFAULT_DEPTHS,
-    "remark": (1, 4, 16, 64),
-}
-
 
 class _ParseFailure(Exception):
     """Internal marker for anything that maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the experiment commands."""
-
-    p: float = 1.0
-    q: float = 2.0
-    depths: tuple[int, ...] = field(default_factory=tuple)
-    cap: int = SPIKE_CAP
-    strict: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.p < 1.0:
-            raise ValueError("p must satisfy p >= 1")
-        if self.q < self.p:
-            raise ValueError("q must satisfy q >= p")
-        if any(d < 1 for d in self.depths):
-            raise ValueError("depth schedule entries must be positive integers")
-        if any(a >= b for a, b in zip(self.depths, self.depths[1:])):
-            raise ValueError("depth schedule must be strictly increasing")
-        if self.cap < 2:
-            raise ValueError("cap must be at least 2")
 
 
 def _load_json(path: str):
@@ -111,9 +77,12 @@ def _dump_json(obj, path: str) -> None:
 
 def _parse_depths(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        depths = tuple(_check_depth(int(part)) for part in text.split(","))
     except ValueError as exc:
-        raise _ParseFailure("depth schedule must be comma-separated integers") from exc
+        raise _ParseFailure("depth schedule must be comma-separated integers >= 1") from exc
+    if any(a >= b for a, b in zip(depths, depths[1:])):
+        raise _ParseFailure("depth schedule must be strictly increasing")
+    return depths
 
 
 def _load_path(path: str) -> DiscretePath:
@@ -193,39 +162,18 @@ def cmd_bound_check(args) -> int:
     return EXIT_OK
 
 
-def _subreport(report: DivergenceReport, depths: Sequence[int]) -> DivergenceReport:
-    index = {d: i for i, d in enumerate(report.depths)}
-    picked = [index[d] for d in depths]
-    return DivergenceReport.build(
-        [report.depths[i] for i in picked],
-        [report.quantities[i] for i in picked],
-        [report.claimed_lower_bounds[i] for i in picked],
-    )
-
-
 def cmd_lab(args) -> int:
-    depths = _parse_depths(args.depths) if args.depths else _LAB_DEFAULT_DEPTHS[args.experiment]
-    try:
-        config = RunConfig(
-            p=args.p,
-            q=args.q,
-            depths=tuple(depths),
-            cap=args.cap,
-            strict=args.strict,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _ParseFailure(str(exc)) from exc
-
+    # each experiment validates the flags it reads and keeps its own default depths
+    schedule = {"depths": _parse_depths(args.depths)} if args.depths else {}
     gen = None
-    if getattr(args, "gen", None):
+    if args.gen:
         if args.experiment in ("example3", "example5"):
             raise _ParseFailure("--gen is not used by the %s experiment" % args.experiment)
         gen = _load_generator(args.gen)
 
     covering_note = None
     if args.experiment == "example3":
-        outcome = example3_experiment(config.depths, eps=args.eps)
+        outcome = example3_experiment(eps=args.eps, **schedule)
         report = outcome.report
         covering_note = "epsilon-net sizes at eps=%g: %s over point counts %s" % (
             outcome.eps,
@@ -234,27 +182,20 @@ def cmd_lab(args) -> int:
         )
     elif args.experiment == "step4":
         outcome = step4_divergence_experiment(
-            p=config.p,
-            q=config.q,
-            depths=config.depths,
-            cap=config.cap,
-            strict=config.strict,
+            p=args.p,
+            q=args.q,
+            cap=args.cap,
+            strict=args.strict,
             generator=gen,
+            **schedule,
         )
         report = outcome.report
     elif args.experiment == "example5":
-        report = _subreport(gen_example5_experiment(max(config.depths)), config.depths)
+        report = gen_example5_experiment(**schedule)
     elif args.experiment == "thm6":
-        report = thm6_experiment(
-            depths=config.depths,
-            p=config.p,
-            q=config.q,
-            beta=config.p / (2.0 * config.q),
-            seed=config.seed,
-            generator=gen,
-        )
+        report = thm6_experiment(p=args.p, q=args.q, seed=args.seed, generator=gen, **schedule)
     else:
-        report = remark_experiment(depths=config.depths, q=config.q, generator=gen)
+        report = remark_experiment(q=args.q, generator=gen, **schedule)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
         report.write_csv(fp)

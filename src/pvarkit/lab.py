@@ -10,8 +10,8 @@ per constant piece, so the discrete maximisation reproduces the supremum
 over all real partitions exactly.
 
 Experiments bundle a construction with the quantity it is claimed to bound
-and emit a :class:`DivergenceReport` (claimed lower bounds) or a
-:class:`BoundReport` (claimed upper bounds); both serialize to the same
+and emit a :class:`ClaimReport`: the divergence constructions claim lower
+bounds, Example 3 claims upper bounds, and either kind serializes to the
 CSV schema ``depth, quantity, claimed_bound, satisfied``.
 """
 
@@ -28,20 +28,19 @@ import numpy as np
 from .errors import (
     BlockTooLarge,
     GapConditionViolated,
-    InvalidExponent,
     NoViolatorFound,
     PvarkitError,
     SpikeOverflow,
 )
-from .operators import Generator, compose_path, epsilon_covering
+from .operators import BOUND_TOL, Generator, compose_path, epsilon_covering
 from .paths import DiscretePath
 from .spaces import L2, LINF, Vector, VectorSpace, diff_norm, norm as vector_norm
-from .variation import bv_norm, pvar
+from .variation import _check_exponent, _check_pq, bv_norm, pvar
 
 __all__ = [
-    "TOL",
     "SPIKE_CAP",
     "DEFAULT_DEPTHS",
+    "ClaimReport",
     "DivergenceReport",
     "BoundReport",
     "SpikeBlock",
@@ -65,7 +64,6 @@ __all__ = [
     "remark_experiment",
 ]
 
-TOL = 1e-9
 SPIKE_CAP = 10 ** 6
 DEFAULT_DEPTHS = (1, 2, 4, 8, 16)
 
@@ -84,33 +82,43 @@ def _write_rows(fp, rows) -> None:
 
 
 @dataclass
-class DivergenceReport:
-    """Measured quantities against claimed lower bounds, depth by depth."""
+class ClaimReport:
+    """Measured quantities against claimed bounds, depth by depth.
+
+    ``lower`` says which side the claims bound: a quantity satisfies a
+    lower bound when it is at least the bound, an upper bound when it is
+    at most the bound, both up to ``BOUND_TOL``.
+    """
 
     depths: list[int]
     quantities: list[float]
-    claimed_lower_bounds: list[float]
+    bounds: list[float]
+    lower: bool
     all_satisfied: bool
 
     @classmethod
-    def build(cls, depths, quantities, bounds) -> "DivergenceReport":
-        depths = [int(d) for d in depths]
-        quantities = [float(x) for x in quantities]
-        bounds = [float(b) for b in bounds]
-        ok = all(x >= b - TOL for x, b in zip(quantities, bounds))
-        return cls(depths, quantities, bounds, ok)
+    def build(cls, depths, quantities, bounds, lower: bool) -> "ClaimReport":
+        report = cls(
+            [int(d) for d in depths],
+            [float(x) for x in quantities],
+            [float(b) for b in bounds],
+            bool(lower),
+            False,
+        )
+        report.all_satisfied = all(row[3] for row in report.rows())
+        return report
 
     def rows(self):
         return [
-            (d, x, b, x >= b - TOL)
-            for d, x, b in zip(self.depths, self.quantities, self.claimed_lower_bounds)
+            (d, x, b, x >= b - BOUND_TOL if self.lower else x <= b + BOUND_TOL)
+            for d, x, b in zip(self.depths, self.quantities, self.bounds)
         ]
 
     def to_json(self) -> dict:
         return {
             "depths": self.depths,
             "quantities": self.quantities,
-            "claimed_lower_bounds": self.claimed_lower_bounds,
+            "claimed_lower_bounds" if self.lower else "claimed_upper_bounds": self.bounds,
             "all_satisfied": self.all_satisfied,
         }
 
@@ -118,39 +126,8 @@ class DivergenceReport:
         _write_rows(fp, self.rows())
 
 
-@dataclass
-class BoundReport:
-    """Measured quantities against claimed upper bounds, depth by depth."""
-
-    depths: list[int]
-    quantities: list[float]
-    claimed_upper_bounds: list[float]
-    all_satisfied: bool
-
-    @classmethod
-    def build(cls, depths, quantities, bounds) -> "BoundReport":
-        depths = [int(d) for d in depths]
-        quantities = [float(x) for x in quantities]
-        bounds = [float(b) for b in bounds]
-        ok = all(x <= b + TOL for x, b in zip(quantities, bounds))
-        return cls(depths, quantities, bounds, ok)
-
-    def rows(self):
-        return [
-            (d, x, b, x <= b + TOL)
-            for d, x, b in zip(self.depths, self.quantities, self.claimed_upper_bounds)
-        ]
-
-    def to_json(self) -> dict:
-        return {
-            "depths": self.depths,
-            "quantities": self.quantities,
-            "claimed_upper_bounds": self.claimed_upper_bounds,
-            "all_satisfied": self.all_satisfied,
-        }
-
-    def write_csv(self, fp) -> None:
-        _write_rows(fp, self.rows())
+# the per-direction names, kept for code that imports them
+DivergenceReport = BoundReport = ClaimReport
 
 
 def _check_depth(depth) -> int:
@@ -159,11 +136,9 @@ def _check_depth(depth) -> int:
     return depth
 
 
-def _check_pq(p: float, q: float) -> tuple[float, float]:
-    p, q = float(p), float(q)
-    if p < 1.0 or q < p:
-        raise InvalidExponent("need 1 <= p <= q, got p=%r q=%r" % (p, q))
-    return p, q
+def _check_cap(cap) -> None:
+    if not isinstance(cap, int) or cap < 2:
+        raise ValueError("cap must be an integer >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +214,7 @@ def step4_blocks(
     depth = _check_depth(depth)
     if depth > len(pairs):
         raise ValueError("depth %d exceeds the %d supplied pairs" % (depth, len(pairs)))
-    if not isinstance(cap, int) or cap < 2:
-        raise ValueError("cap must be an integer >= 2")
+    _check_cap(cap)
     blocks = []
     for n in range(1, depth + 1):
         u, w = pairs[n - 1]
@@ -387,7 +361,7 @@ def run_divergence_step6(
     depths: Sequence[int] | None = None,
     cap: int = SPIKE_CAP,
     strict: bool = False,
-) -> DivergenceReport:
+) -> ClaimReport:
     """Measure var_q of the composed spike path against its claimed growth.
 
     For each depth d the spike path over ``pairs[:d]`` is composed with
@@ -434,34 +408,33 @@ def run_divergence_step6(
         pvar(compose_path(f, gen_step4_path(p, q, pairs, d, cap, strict)), q).value
         for d in depths
     ]
-    return DivergenceReport.build(depths, quantities, bounds)
+    return ClaimReport.build(depths, quantities, bounds, lower=True)
 
 
 # ---------------------------------------------------------------------------
 # unbounded composition on the sequence space
 
 
-def gen_example5_experiment(count: int) -> DivergenceReport:
+def gen_example5_experiment(depths: Sequence[int] = range(1, 11)) -> ClaimReport:
     """Unit-norm constant paths whose images under l2_sup have norm k.
 
-    The k-th input is the constant path at the k-th standard basis
-    sequence; its 1-variation norm is exactly 1, while the composed path's
-    1-variation norm is exactly k.  Both sides are integer-valued, so the
-    report is exact, no tolerance involved.
+    The k-th input, for each k in ``depths``, is the constant path at the
+    k-th standard basis sequence; its 1-variation norm is exactly 1, while
+    the composed path's 1-variation norm is exactly k.  Both sides are
+    integer-valued, so the report is exact, no tolerance involved.
     """
-    count = _check_depth(count)
+    depths = sorted({_check_depth(d) for d in depths})
     f = Generator.l2_sup()
     space = VectorSpace("sparse", L2)
     quantities = []
-    for k in range(1, count + 1):
+    for k in depths:
         e_k = Vector(space, {k: 1.0})
         path = DiscretePath([0.0, 1.0], [e_k, e_k], (0.0, 1.0))
         unit = bv_norm(path, 1.0)
         if unit != 1.0:
             raise PvarkitError("input norm drifted off 1 at k=%d: %r" % (k, unit))
         quantities.append(bv_norm(compose_path(f, path), 1.0))
-    bounds = [float(k) for k in range(1, count + 1)]
-    return DivergenceReport.build(list(range(1, count + 1)), quantities, bounds)
+    return ClaimReport.build(depths, quantities, depths, lower=True)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +454,7 @@ def gen_thm6_spikes(
     structure makes the p-variation exactly 2 m |u - w|^p, which the floor
     keeps at or below 2; the bound is re-checked after construction.
     """
-    p = float(p)
-    if p < 1.0:
-        raise InvalidExponent("exponent p must satisfy p >= 1")
+    p = _check_exponent(p)
     gap = diff_norm(u, w)
     if gap == 0.0:
         raise ValueError("u and w must differ")
@@ -504,9 +475,9 @@ def gen_thm6_spikes(
     times.append(b)
     values.append(w)
     path = DiscretePath(times, values, (a, b))
-    if 2.0 * m * gap ** p > 2.0 + TOL:
+    if 2.0 * m * gap ** p > 2.0 + BOUND_TOL:
         raise PvarkitError("spike train exceeded its variation budget")
-    if len(path) <= 4001 and pvar(path, p).value > 2.0 + TOL:
+    if pvar(path, p).value > 2.0 + BOUND_TOL:
         raise PvarkitError("spike train exceeded its variation budget")
     return path
 
@@ -551,7 +522,7 @@ def power_divergence_candidates(j_lo: int = 10, j_hi: int = 40) -> list[Vector]:
 class Step4Experiment:
     """A complete divergence run plus the ingredients needed to re-check it."""
 
-    report: DivergenceReport
+    report: ClaimReport
     generator: Generator
     pairs: list[tuple[Vector, Vector]]
     M: float
@@ -580,6 +551,7 @@ def step4_divergence_experiment(
     with :class:`NoViolatorFound`, which is the point of running one.
     """
     p, q = _check_pq(p, q)
+    _check_cap(cap)  # before the pair search, whose failure means a failed claim
     if beta is None:
         beta = p / (2.0 * q)
     f = generator if generator is not None else Generator.power(beta)
@@ -597,7 +569,7 @@ def step4_divergence_experiment(
 class Example3Experiment:
     """Variation bound plus covering-number growth for the sup-norm family."""
 
-    report: BoundReport
+    report: ClaimReport
     covering_counts: list[int]
     eps: float
     point_counts: list[int]
@@ -619,7 +591,8 @@ def example3_experiment(
         quantities.append(pvar(path, 1.0).value)
         covers.append(epsilon_covering(path.values, eps))
         counts.append(len(path.values))
-    report = BoundReport.build(depths, quantities, [bound] * len(depths))
+        del path  # before the next, larger path is built
+    report = ClaimReport.build(depths, quantities, [bound] * len(depths), lower=False)
     return Example3Experiment(report, covers, eps, counts)
 
 
@@ -627,13 +600,17 @@ def thm6_experiment(
     depths: Sequence[int] = DEFAULT_DEPTHS,
     p: float = 1.0,
     q: float = 2.0,
-    beta: float = 0.25,
+    beta: float | None = None,
     seed: int = 0,
     generator: Generator | None = None,
-) -> DivergenceReport:
+) -> ClaimReport:
     """Random close pairs: spike trains stay under variation 2 while their
-    compositions with a rough power map exceed m |f(u)-f(w)|^q."""
+    compositions with a rough power map exceed m |f(u)-f(w)|^q.
+
+    The map defaults to the power map with beta = p / (2 q)."""
     p, q = _check_pq(p, q)
+    if beta is None:
+        beta = p / (2.0 * q)
     depths = sorted({_check_depth(d) for d in depths})
     f = generator if generator is not None else Generator.power(beta)
     rng = np.random.default_rng(seed)
@@ -644,13 +621,11 @@ def thm6_experiment(
         u = Vector.dense([base])
         w = Vector.dense([base + gap])
         path = gen_thm6_spikes(u, w, p)
-        if pvar(path, p).value > 2.0 + TOL:
-            raise PvarkitError("spike train exceeded its variation budget")
         m = int(math.floor(gap ** (-p)))
         fgap = diff_norm(f(u), f(w))
         quantities.append(pvar(compose_path(f, path), q).value)
         bounds.append(m * fgap ** q)
-    return DivergenceReport.build(depths, quantities, bounds)
+    return ClaimReport.build(depths, quantities, bounds, lower=True)
 
 
 def remark_experiment(
@@ -659,11 +634,9 @@ def remark_experiment(
     beta: float = 0.5,
     height: float = 0.81,
     generator: Generator | None = None,
-) -> DivergenceReport:
+) -> ClaimReport:
     """Spike count n drives the composed q-variation norm past n^(1/q) |f(u)-f(0)|."""
-    q = float(q)
-    if q < 1.0:
-        raise InvalidExponent("exponent q must satisfy q >= 1")
+    q = _check_exponent(q, "q")
     depths = sorted({_check_depth(d) for d in depths})
     f = generator if generator is not None else Generator.power(beta)
     u = Vector.dense([float(height)])
@@ -673,4 +646,4 @@ def remark_experiment(
         path = gen_remark_spikes(u, n)
         quantities.append(bv_norm(compose_path(f, path), q))
         bounds.append(float(n) ** (1.0 / q) * fgap)
-    return DivergenceReport.build(depths, quantities, bounds)
+    return ClaimReport.build(depths, quantities, bounds, lower=True)

@@ -12,7 +12,7 @@ the composed path can never exceed L^q times the p-variation of the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -20,12 +20,11 @@ import numpy as np
 from .errors import (
     DomainMismatch,
     InvalidAlpha,
-    InvalidExponent,
     TooFewPoints,
 )
 from .paths import DiscretePath
 from .spaces import Vector, diff_norm, coordinate_matrix, row_norms
-from .variation import _check_exponent, pvar
+from .variation import _check_pq, pvar
 
 __all__ = [
     "Generator",
@@ -262,8 +261,6 @@ class BoundCheckReport:
     var_p: float
     var_q: float
     bound_holds: bool
-    p: float = field(default=0.0, repr=False)
-    q: float = field(default=0.0, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -284,10 +281,7 @@ def composition_bound_check(
     and the inequality holds up to floating-point slack.  A constant path
     has no distinct pairs; its estimate is taken as zero.
     """
-    p = _check_exponent(p)
-    q = _check_exponent(q)
-    if q < p:
-        raise InvalidExponent("need p <= q, got p=%r q=%r" % (p, q))
+    p, q = _check_pq(p, q)
     try:
         estimate = estimate_holder(f, path.values, p / q)
         l_hat = estimate.constant
@@ -300,9 +294,7 @@ def composition_bound_check(
         holds = True if var_p > 0.0 else var_q <= BOUND_TOL
     else:
         holds = var_q <= l_hat ** q * var_p + BOUND_TOL
-    return BoundCheckReport(
-        l_hat=l_hat, var_p=var_p, var_q=var_q, bound_holds=bool(holds), p=p, q=q
-    )
+    return BoundCheckReport(l_hat=l_hat, var_p=var_p, var_q=var_q, bound_holds=bool(holds))
 
 
 def epsilon_covering(points: Sequence[Vector], eps: float) -> int:

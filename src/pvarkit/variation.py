@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 BRUTEFORCE_LIMIT = 20  # increments, i.e. 2^(n-1) candidate subsequences
+BLOCK_BYTES = 1 << 18  # differences taken per block of rows: stays in cache
 
 
 @dataclass
@@ -53,14 +54,21 @@ class PVarResult:
         return cls(float(obj["p"]), float(obj["value"]), [int(i) for i in obj["partition"]])
 
 
-def _check_exponent(p: float) -> float:
+def _check_exponent(p: float, name: str = "p") -> float:
     try:
         p = float(p)
     except (TypeError, ValueError):
-        raise InvalidExponent("exponent p must be a real number") from None
+        raise InvalidExponent("exponent %s must be a real number" % name) from None
     if not np.isfinite(p) or p < 1.0:
-        raise InvalidExponent("exponent p must satisfy p >= 1, got %r" % (p,))
+        raise InvalidExponent("exponent %s must satisfy %s >= 1, got %r" % (name, name, p))
     return p
+
+
+def _check_pq(p: float, q: float) -> tuple[float, float]:
+    p, q = _check_exponent(p), _check_exponent(q, "q")
+    if q < p:
+        raise InvalidExponent("need p <= q, got p=%r q=%r" % (p, q))
+    return p, q
 
 
 def _distinct_rows(mat: np.ndarray) -> tuple[Sequence[int], np.ndarray]:
@@ -107,13 +115,23 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     link = np.full(s, -1)
     best = np.zeros(s)
     pred = np.zeros(s, dtype=np.int64)
+    # row_norms a block of rows at a time in one reused buffer: wide rows
+    # then neither allocate nor leave the cache on every step
+    block = max(1, BLOCK_BYTES // (8 * max(1, rows.shape[1])))
+    buf = np.empty((min(block, k), rows.shape[1]))
     seen = 1
     for i in range(1, s):
         c = codes[i]
-        # row_norms with abs in place and the temporary freed: half its peak
-        diff = rows[:seen] - rows[c]
-        gain = _reduce_abs(np.abs(diff, out=diff), kind, axis=1) ** p
-        del diff
+        if seen <= block:  # a single block, the usual case for narrow rows
+            diff = np.subtract(rows[:seen], rows[c], out=buf[:seen])
+            gain = _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+        else:
+            gain = np.empty(seen)
+            for a in range(0, seen, block):
+                b = min(a + block, seen)
+                diff = np.subtract(rows[a:b], rows[c], out=buf[: b - a])
+                gain[a:b] = _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+        gain = gain ** p
         cand = top[:seen] + gain
         t = int(cand.argmax())
         v = cand[t]

@@ -156,7 +156,7 @@ def test_07_spike_train_divergence_with_variation_budget(capsys):
         M = exp.M
         assert report.all_satisfied
         for d, quantity, bound in zip(report.depths, report.quantities,
-                                      report.claimed_lower_bounds):
+                                      report.bounds):
             assert bound == pytest.approx(d * M ** q, rel=1e-12)
             assert quantity >= d * M ** q - 1e-9
         path8 = gen_step4_path(p, q, exp.pairs, 8)

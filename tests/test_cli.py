@@ -164,6 +164,52 @@ def test_lab_step4_writes_csv_and_json(tmp_path):
     assert summary["depths"] == [1, 2]
 
 
+def test_lab_summary_names_the_side_of_its_claims(tmp_path):
+    for experiment, depths, key in (
+        ("example3", "10,100", "claimed_upper_bounds"),
+        ("step4", "1,2", "claimed_lower_bounds"),
+    ):
+        out = tmp_path / (experiment + ".csv")
+        code = main(
+            ["lab", "--experiment", experiment, "--depths", depths, "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / (experiment + ".json")).read_text())
+        assert list(summary) == ["depths", "quantities", key, "all_satisfied"]
+        with open(out, newline="") as fp:
+            header = next(csv.reader(fp))
+        assert header == ["depth", "quantity", "claimed_bound", "satisfied"]
+
+
+@pytest.mark.parametrize(
+    "experiment, flags",
+    [
+        ("step4", ["--p", "nan"]),
+        ("step4", ["--q", "inf"]),
+        ("thm6", ["--p", "nan"]),
+        ("remark", ["--q", "nan"]),
+    ],
+)
+def test_lab_non_finite_exponent_is_invariant_violation(tmp_path, capsys, experiment, flags):
+    gen = write_json(tmp_path / "g.json", {"name": "power", "beta": 0.25})
+    out = str(tmp_path / "r.csv")
+    code = main(["lab", "--experiment", experiment, "--gen", gen, "--out", out] + flags)
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "exponent " + flags[0][2:] in err and "NoViolatorFound" not in err
+
+
+@pytest.mark.parametrize("flags", [["--p", "0.5"], ["--cap", "1"]])
+def test_lab_out_of_range_flag_is_invariant_violation(tmp_path, capsys, flags):
+    # also with a smooth map, whose pair search would fail as a claim
+    gen = write_json(tmp_path / "g.json", {"name": "identity"})
+    out = str(tmp_path / "r.csv")
+    for extra in ([], ["--gen", gen]):
+        argv = ["lab", "--experiment", "step4", "--depths", "1,4", "--out", out]
+        assert main(argv + flags + extra) == EXIT_INVARIANT
+        assert "invariant violation" in capsys.readouterr().err
+
+
 def test_lab_identity_generator_reports_no_violator(tmp_path, capsys):
     gen = write_json(tmp_path / "g.json", {"name": "identity"})
     out = tmp_path / "r.csv"

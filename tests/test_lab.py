@@ -13,13 +13,14 @@ import pytest
 from pvarkit.errors import (
     BlockTooLarge,
     GapConditionViolated,
+    InvalidExponent,
     NoViolatorFound,
     SpikeOverflow,
 )
 from pvarkit.lab import (
     DEFAULT_DEPTHS,
-    DivergenceReport,
     SPIKE_CAP,
+    ClaimReport,
     example3_experiment,
     find_holder_violators,
     gen_example3,
@@ -178,6 +179,13 @@ def test_violator_search_validates_m():
         find_holder_violators(f, 1.0, 2.0, 1e-9, POWER_CANDIDATES, 2)
 
 
+@pytest.mark.parametrize("p, q", [(math.nan, 2.0), (1.0, math.inf), (0.5, 2.0), (2.0, 1.0)])
+def test_violator_search_rejects_bad_exponents(p, q):
+    f = Generator.power(0.25)
+    with pytest.raises(InvalidExponent):
+        find_holder_violators(f, p, q, 1.0, POWER_CANDIDATES, 2)
+
+
 def test_divergence_run_certifies_growth():
     f = Generator.power(0.25)
     pairs = find_holder_violators(f, 1.0, 2.0, 2.0 ** -2.5, POWER_CANDIDATES, 4)
@@ -185,8 +193,8 @@ def test_divergence_run_certifies_growth():
     assert report.all_satisfied
     assert report.depths == [1, 2, 4]
     M_q = (2.0 ** -2.5) ** 2.0
-    assert report.claimed_lower_bounds == pytest.approx([M_q, 2 * M_q, 4 * M_q])
-    assert all(a >= b for a, b in zip(report.quantities, report.claimed_lower_bounds))
+    assert report.bounds == pytest.approx([M_q, 2 * M_q, 4 * M_q])
+    assert all(a >= b for a, b in zip(report.quantities, report.bounds))
 
 
 def test_capped_block_lowers_its_claim():
@@ -195,7 +203,7 @@ def test_capped_block_lowers_its_claim():
     u, w = Vector.dense([2.0 ** -12.0]), Vector.dense([0.0])
     fgap = diff_norm(f(u), f(w))
     report = run_divergence_step6(f, 1.0, 2.0, [(u, w)], depths=(1,), cap=100)
-    assert report.claimed_lower_bounds == [pytest.approx(100 * fgap ** 2.0)]
+    assert report.bounds == [pytest.approx(100 * fgap ** 2.0)]
     assert report.all_satisfied
 
 
@@ -250,9 +258,9 @@ def test_fixed_count_spikes():
 
 
 def test_unit_norm_inputs_score_growth():
-    report = gen_example5_experiment(10)
+    report = gen_example5_experiment(range(1, 11))
     assert report.quantities == pytest.approx(list(range(1, 11)), abs=0.0)
-    assert report.claimed_lower_bounds == pytest.approx(list(range(1, 11)), abs=0.0)
+    assert report.bounds == pytest.approx(list(range(1, 11)), abs=0.0)
     assert report.all_satisfied
 
 
@@ -268,18 +276,43 @@ def test_experiment_wrappers_all_satisfied():
     rem = remark_experiment(depths=(1, 4, 16))
     assert rem.all_satisfied
     expected = [0.9 * math.sqrt(n) for n in (1, 4, 16)]
-    assert rem.claimed_lower_bounds == pytest.approx(expected)
+    assert rem.bounds == pytest.approx(expected)
 
 
 def test_report_rows_and_json():
-    report = DivergenceReport.build([1, 2], [1.5, 2.5], [1.0, 2.0])
+    report = ClaimReport.build([1, 2], [1.5, 2.5], [1.0, 2.0], lower=True)
     assert report.all_satisfied
     rows = report.rows()
     assert rows[0] == (1, 1.5, 1.0, True)
     doc = report.to_json()
     assert doc["all_satisfied"] is True
-    bad = DivergenceReport.build([1], [0.5], [1.0])
+    assert doc["claimed_lower_bounds"] == [1.0, 2.0]
+    assert "claimed_upper_bounds" not in doc
+    bad = ClaimReport.build([1], [0.5], [1.0], lower=True)
     assert not bad.all_satisfied
+
+
+def test_report_upper_bounds_rows_and_json():
+    report = ClaimReport.build([1, 2], [0.5, 2.0], [1.0, 2.0], lower=False)
+    assert report.all_satisfied
+    assert report.rows() == [(1, 0.5, 1.0, True), (2, 2.0, 2.0, True)]
+    doc = report.to_json()
+    assert list(doc) == ["depths", "quantities", "claimed_upper_bounds", "all_satisfied"]
+    assert doc["claimed_upper_bounds"] == [1.0, 2.0]
+    bad = ClaimReport.build([1, 2], [0.5, 2.5], [1.0, 2.0], lower=False)
+    assert not bad.all_satisfied
+    assert [row[3] for row in bad.rows()] == [True, False]
+
+
+def test_report_tolerance_on_each_side():
+    # a quantity within the tolerance of its bound satisfies either kind of
+    # claim; one just outside fails only the claim it crosses
+    near, far = 1.0 + 5e-10, 1.0 + 2e-9
+    assert ClaimReport.build([1], [near], [1.0], lower=False).all_satisfied
+    assert not ClaimReport.build([1], [far], [1.0], lower=False).all_satisfied
+    assert ClaimReport.build([1], [far], [1.0], lower=True).all_satisfied
+    assert not ClaimReport.build([1], [2.0 - far], [1.0], lower=True).all_satisfied
+    assert ClaimReport.build([1], [2.0 - near], [1.0], lower=True).all_satisfied
 
 
 def test_default_depth_schedule_is_increasing():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvarkit import variation
 from pvarkit.errors import InvalidExponent, TooLarge
 from pvarkit.paths import DiscretePath
 from pvarkit.spaces import L1, L2, LINF, LP, Vector, diff_norm, row_norms
@@ -260,3 +261,18 @@ def test_equal_values_on_different_samples_tie_to_smallest_index():
     for e in (1.0, 2.0, 3.0):
         res = pvar(path, e)
         assert (res.value, res.partition) == reference_pvar(path, e)
+
+
+@pytest.mark.parametrize("kind", [L1, L2, LINF, LP(1.5)])
+def test_blocked_distances_match_reference(kind, monkeypatch):
+    # a 48-byte block holds two rows of three coordinates, so later steps
+    # scan the earlier values in several blocks, the last one often short
+    monkeypatch.setattr(variation, "BLOCK_BYTES", 48)
+    rng = np.random.default_rng(11)
+    coords = np.round(rng.uniform(-2.0, 2.0, size=(41, 3)), 1)
+    coords[25:] = coords[rng.integers(0, 25, 16)]  # repeats, too
+    values = [Vector.dense(row, norm=kind) for row in coords]
+    path = DiscretePath([float(t) for t in range(len(values))], values)
+    for p in (1.0, 2.0, 3.0):
+        res = pvar(path, p)
+        assert (res.value, res.partition) == reference_pvar(path, p)
