@@ -18,7 +18,8 @@ class InvalidExponent(PvarkitError):
 
 
 class TooLarge(PvarkitError):
-    """Brute-force enumeration refused: the path has too many samples."""
+    """Work refused for its size: brute force over a path with too many
+    samples, or a coordinate embedding above ``spaces.MAX_EMBED_BYTES``."""
 
 
 class NotASampleTime(PvarkitError):

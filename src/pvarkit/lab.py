@@ -332,23 +332,24 @@ def find_holder_violators(
             "M=%.17g does not dominate max |f| over the candidates (%.17g)" % (M, peak)
         )
     alpha = p / q
+    # every pair at nonzero distance, in scan order, with |u-w|^alpha and
+    # |f(u)-f(w)|: each index n then only compares the two against 4 M n^2
+    index, powers, image_gaps = [], [], []
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            gap = diff_norm(candidates[i], candidates[j])
+            if gap != 0.0:
+                index.append((i, j))
+                powers.append(gap ** alpha)
+                image_gaps.append(diff_norm(images[i], images[j]))
+    powers, image_gaps = np.array(powers), np.array(image_gaps)
     pairs = []
     for n in range(1, count + 1):
-        hit = None
-        threshold_factor = 4.0 * M * n * n
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                gap = diff_norm(candidates[i], candidates[j])
-                if gap == 0.0:
-                    continue
-                if diff_norm(images[i], images[j]) > threshold_factor * gap ** alpha:
-                    hit = (candidates[i], candidates[j])
-                    break
-            if hit:
-                break
-        if hit is None:
+        hits = (image_gaps > 4.0 * M * n * n * powers).nonzero()[0]
+        if not hits.size:
             raise NoViolatorFound(n)
-        pairs.append(hit)
+        i, j = index[hits[0]]
+        pairs.append((candidates[i], candidates[j]))
     return pairs
 
 
@@ -589,7 +590,7 @@ def example3_experiment(
     for d in depths:
         path = gen_example3(d)
         quantities.append(pvar(path, 1.0).value)
-        covers.append(epsilon_covering(path.values, eps))
+        covers.append(epsilon_covering(path, eps))
         counts.append(len(path.values))
         del path  # before the next, larger path is built
     report = ClaimReport.build(depths, quantities, [bound] * len(depths), lower=False)

@@ -7,6 +7,11 @@ which lower-bounds any true Holder constant of f on that set, and
 ``composition_bound_check`` ties the pieces together: with alpha = p/q and
 the constant estimated on the exact range of the path, the q-variation of
 the composed path can never exceed L^q times the p-variation of the input.
+
+The pair scans take their distances row by row from the coordinate
+embedding through ``spaces.row_distances``, the kernel ``pvar`` uses too;
+the Holder scan then confirms its maximum with the scalar norms, so its
+result is the plain pair loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .errors import (
     TooFewPoints,
 )
 from .paths import DiscretePath
-from .spaces import Vector, diff_norm, coordinate_matrix, row_norms
-from .variation import _check_pq, pvar
+from .spaces import NormKind, Vector, block_buffer, coordinate_matrix, diff_norm, row_distances
+from .variation import _check_pq, _distinct_rows, pvar
 
 __all__ = [
     "Generator",
@@ -38,6 +43,13 @@ __all__ = [
 ]
 
 BOUND_TOL = 1e-9
+
+# Ulps by which one float64 power may be off, array or scalar: numpy's array
+# pow and C's pow each round to within a few ulps (they differ by at most
+# one on numpy 2.4).
+_POW_ULPS = 4
+_EPS = float(np.finfo(float).eps)
+_SMALL, _BIG = 2.0 ** -960, 2.0 ** 1000  # far inside the normal floats
 
 
 class Generator:
@@ -210,6 +222,19 @@ class HolderEstimate:
         }
 
 
+def _trusted_range(kind: NormKind, cols: int) -> tuple[float, float]:
+    """Norm values at which array and scalar evaluations obey the band.
+
+    Inside the range every power, sum and root the norm takes is a normal
+    float and nothing overflows.  For lp, terms that underflow (at most
+    ``cols`` of them, each off by under the smallest normal float) move the
+    power sum by under one ulp once that sum is ``cols * _SMALL`` or more.
+    """
+    if kind.tag == "lp":
+        return (cols * _SMALL) ** (1.0 / kind.r), 2.0 ** (1000.0 / kind.r)
+    return _SMALL, 2.0 ** 500 if kind.tag == "l2" else _BIG
+
+
 def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> HolderEstimate:
     """Scan all point pairs for the worst Holder ratio at exponent alpha.
 
@@ -217,39 +242,88 @@ def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> Hol
     distance with differing images short-circuits to an infinite estimate.
     The scan runs in index order (i, j), i < j, and keeps the first pair
     attaining the maximum, so the witness is deterministic.
+
+    Each row i is scored against rows i+1.. of the coordinate embeddings
+    of the points and of their images in a few numpy calls, O(n^2 d) in
+    all.  Array norms and powers may differ from the scalar ones in the
+    last bits, so array ratios only locate the maximum: every pair within
+    an error band of it is re-scored as ``diff_norm(f(u), f(w)) /
+    diff_norm(u, w) ** alpha``, and pairs whose values leave the range the
+    band covers (underflow, overflow, NaN) take those scalar steps in
+    full.  Constant, witness and pair count are the plain loop's, bit for
+    bit.  Ratios tied within the band are each re-scored, so a map whose
+    ratios all tie (the identity at alpha = 1) costs one scalar step per
+    pair.  All points, and all images, must share one space.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise InvalidAlpha("alpha must lie in (0, 1], got %r" % (alpha,))
     points = list(points)
-    if len(points) < 2:
-        raise TooFewPoints("need at least 2 points, got %d" % len(points))
+    n = len(points)
+    if n < 2:
+        raise TooFewPoints("need at least 2 points, got %d" % n)
     images = [f(v) for v in points]
-    best = -1.0
-    witness = None
+    pmat, imat = coordinate_matrix(points), coordinate_matrix(images)
+    pkind, ikind = points[0].space.norm, images[0].space.norm
+    pcode = np.asarray(_distinct_rows(pmat)[0])
+    icode = np.asarray(_distinct_rows(imat)[0])
+    dlo, dhi = _trusted_range(pkind, pmat.shape[1])
+    nlo, nhi = _trusted_range(ikind, imat.shape[1])
+    # Array and scalar ratios are each within (5 _POW_ULPS + 1 + columns of
+    # both embeddings) eps of the exact one: two powers and a sum of at most
+    # `columns` terms per norm, one power for d ** alpha, one rounding for
+    # the division.  They differ by at most twice that, so the pair with
+    # the largest scalar ratio has an array ratio above top (1 - 3 band).
+    band = (10 * _POW_ULPS + 4 + 2 * (pmat.shape[1] + imat.shape[1])) * _EPS
+    cut = 1.0 - 3.0 * band
+    pbuf, ibuf = block_buffer(n - 1, pmat.shape[1]), block_buffer(n - 1, imat.shape[1])
+    top = -math.inf  # largest ratio so far, array or scalar
+    kept = []  # per row: (i, columns j, ratios, exact?) of pairs near the top
     count = 0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i] == points[j]:
-                continue
-            d = diff_norm(points[i], points[j])
-            if d == 0.0:
+    for i in range(n - 1):
+        live = pcode[i + 1 :] != pcode[i]  # identical points are skipped
+        with np.errstate(all="ignore"):  # what overflows is re-scored below
+            d = row_distances(pmat[i + 1 :], pmat[i], pkind, pbuf)
+            gap = row_distances(imat[i + 1 :], imat[i], ikind, ibuf)
+            ratio = gap / d ** alpha
+        fixed = icode[i + 1 :] == icode[i]  # equal images: ratio exactly 0
+        trusted = (
+            (d >= dlo) & (d <= dhi)
+            & (fixed | (gap >= nlo) & (gap <= nhi) & (ratio >= _SMALL) & (ratio <= _BIG))
+        )
+        exact = fixed | ~trusted
+        for k in (live & ~trusted).nonzero()[0].tolist():  # the scalar steps
+            j = i + 1 + k
+            dist = diff_norm(points[i], points[j])
+            if dist == 0.0:
                 if images[i] == images[j]:
+                    live[k] = False
                     continue
                 return HolderEstimate(
                     alpha=alpha,
                     constant=math.inf,
                     witness=(points[i], points[j]),
-                    pair_count=count,
+                    pair_count=count + int(np.count_nonzero(live[:k])),
                     infinite=True,
                 )
-            count += 1
-            ratio = diff_norm(images[i], images[j]) / d ** alpha
-            if ratio > best:
-                best = ratio
-                witness = (points[i], points[j])
+            ratio[k] = diff_norm(images[i], images[j]) / dist ** alpha
+        count += int(np.count_nonzero(live))
+        top = max(top, float(ratio.max(where=live & ~np.isnan(ratio), initial=-math.inf)))
+        near = (live & (ratio >= top * cut)).nonzero()[0]
+        if near.size:
+            kept.append((i, near + (i + 1), ratio[near], exact[near]))
     if count == 0:
         raise TooFewPoints("points contain fewer than 2 distinct vectors")
+    best, witness = -1.0, None  # stays so when every ratio is NaN
+    lo = top * cut
+    for i, js, ratios, scored in kept:  # row-major order
+        for j, r, e in zip(js.tolist(), ratios.tolist(), scored.tolist()):
+            if not r >= lo:
+                continue
+            if not e:
+                r = diff_norm(images[i], images[j]) / diff_norm(points[i], points[j]) ** alpha
+            if r > best:
+                best, witness = r, (points[i], points[j])
     return HolderEstimate(alpha=alpha, constant=best, witness=witness, pair_count=count)
 
 
@@ -297,24 +371,29 @@ def composition_bound_check(
     return BoundCheckReport(l_hat=l_hat, var_p=var_p, var_q=var_q, bound_holds=bool(holds))
 
 
-def epsilon_covering(points: Sequence[Vector], eps: float) -> int:
+def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int:
     """Greedy covering-number diagnostic: within factor 2 of optimal.
 
     Walks the points in order; each point not within ``eps`` of an existing
-    center becomes one.  Returns the number of centers.
+    center becomes one.  Returns the number of centers.  A
+    :class:`DiscretePath` stands for its values and lends its cached
+    coordinate embedding.
     """
     eps = float(eps)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    points = list(points)
-    if not points:
-        return 0
-    mat = coordinate_matrix(points)
-    kind = points[0].space.norm
+    if isinstance(points, DiscretePath):
+        mat, kind = points.coordinate_matrix(), points.space.norm
+    else:
+        points = list(points)
+        if not points:
+            return 0
+        mat, kind = coordinate_matrix(points), points[0].space.norm
+    buf = block_buffer(mat.shape[0], mat.shape[1])
     centers: list[int] = []
     for i in range(mat.shape[0]):
         if centers:
-            dists = row_norms(mat[centers] - mat[i], kind)
+            dists = row_distances(mat[centers], mat[i], kind, buf)
             if float(dists.min()) <= eps:
                 continue
         centers.append(i)

@@ -16,11 +16,11 @@ vectors of an identical descriptor; anything else raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SpaceMismatch
+from .errors import SpaceMismatch, TooLarge
 
 __all__ = [
     "NormKind",
@@ -34,9 +34,17 @@ __all__ = [
     "diff_norm",
     "coordinate_matrix",
     "row_norms",
+    "block_buffer",
+    "row_distances",
+    "MAX_EMBED_BYTES",
 ]
 
 _NORM_TAGS = ("l1", "l2", "linf", "lp")
+
+# Largest coordinate embedding built, in bytes: a sparse set's embedding
+# grows with samples times the union of supports.  Adjust at module level.
+MAX_EMBED_BYTES = 1 << 30
+BLOCK_BYTES = 1 << 18  # differences taken per block of rows: stays in cache
 
 
 @dataclass(frozen=True)
@@ -323,8 +331,18 @@ def coordinate_matrix(vectors: Sequence[Vector]) -> np.ndarray:
     for v in vectors[1:]:
         _same_space(vectors[0], v)
     if space.kind == "dense":
+        cols = space.dim
+    else:
+        support = sorted(set().union(*(v.data.keys() for v in vectors)))
+        cols = len(support)
+    size = len(vectors) * cols * 8
+    if size > MAX_EMBED_BYTES:
+        raise TooLarge(
+            "embedding %d vectors in %d coordinates needs %d bytes, above the "
+            "limit of %d" % (len(vectors), cols, size, MAX_EMBED_BYTES)
+        )
+    if space.kind == "dense":
         return np.stack([v.data for v in vectors])
-    support = sorted(set().union(*(v.data.keys() for v in vectors)))
     col = {idx: j for j, idx in enumerate(support)}
     out = np.zeros((len(vectors), len(support)))
     for i, v in enumerate(vectors):
@@ -336,3 +354,33 @@ def coordinate_matrix(vectors: Sequence[Vector]) -> np.ndarray:
 def row_norms(a: np.ndarray, kind: NormKind) -> np.ndarray:
     """Norm of each row of a 2-d array, under the given coordinate norm."""
     return _reduce_abs(np.abs(a), kind, axis=1)
+
+
+def block_buffer(rows: int, cols: int) -> np.ndarray:
+    """Work buffer for :func:`row_distances` over up to ``rows`` rows of ``cols``.
+
+    It holds at most ``BLOCK_BYTES`` (but always one row), so wide rows are
+    differenced a block at a time and never leave the cache.
+    """
+    block = max(1, BLOCK_BYTES // (8 * max(1, cols)))
+    return np.empty((max(1, min(block, rows)), cols))
+
+
+def row_distances(
+    rows: np.ndarray, x: np.ndarray, kind: NormKind, buf: np.ndarray
+) -> np.ndarray:
+    """Norm of ``rows[k] - x`` for every row k, taken through ``buf``.
+
+    ``buf`` comes from :func:`block_buffer`; each row's reduction is the
+    same whatever block it falls in, so results do not depend on its size.
+    """
+    n, block = rows.shape[0], buf.shape[0]
+    if n <= block:  # a single block, the usual case for narrow rows
+        diff = np.subtract(rows, x, out=buf[:n])
+        return _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+    out = np.empty(n)
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        diff = np.subtract(rows[a:b], x, out=buf[: b - a])
+        out[a:b] = _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+    return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidExponent, TooLarge
 from .paths import DiscretePath
-from .spaces import _reduce_abs, diff_norm, norm as vector_norm, row_norms
+from .spaces import block_buffer, diff_norm, norm as vector_norm, row_distances, row_norms
 
 __all__ = [
     "PVarResult",
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 BRUTEFORCE_LIMIT = 20  # increments, i.e. 2^(n-1) candidate subsequences
-BLOCK_BYTES = 1 << 18  # differences taken per block of rows: stays in cache
 
 
 @dataclass
@@ -115,23 +114,11 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     link = np.full(s, -1)
     best = np.zeros(s)
     pred = np.zeros(s, dtype=np.int64)
-    # row_norms a block of rows at a time in one reused buffer: wide rows
-    # then neither allocate nor leave the cache on every step
-    block = max(1, BLOCK_BYTES // (8 * max(1, rows.shape[1])))
-    buf = np.empty((min(block, k), rows.shape[1]))
+    buf = block_buffer(k, rows.shape[1])  # reused by every step
     seen = 1
     for i in range(1, s):
         c = codes[i]
-        if seen <= block:  # a single block, the usual case for narrow rows
-            diff = np.subtract(rows[:seen], rows[c], out=buf[:seen])
-            gain = _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
-        else:
-            gain = np.empty(seen)
-            for a in range(0, seen, block):
-                b = min(a + block, seen)
-                diff = np.subtract(rows[a:b], rows[c], out=buf[: b - a])
-                gain[a:b] = _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
-        gain = gain ** p
+        gain = row_distances(rows[:seen], rows[c], kind, buf) ** p
         cand = top[:seen] + gain
         t = int(cand.argmax())
         v = cand[t]

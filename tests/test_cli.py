@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from pvarkit import cli
+from pvarkit import cli, spaces
 from pvarkit.cli import EXIT_CLAIM, EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
+from pvarkit.errors import TooLarge
+from pvarkit.lab import gen_example3
 from pvarkit.operators import Generator
 from pvarkit.paths import DiscretePath
 from pvarkit.spaces import Vector
@@ -144,6 +146,20 @@ def test_bound_check_nan_image_is_invariant_violation(tmp_path, capsys, monkeypa
     ) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert "finite" in captured.err and "FAILS" not in captured.out
+
+
+def test_embedding_above_the_size_limit_is_invariant_violation(tmp_path, capsys, monkeypatch):
+    # gen_example3(3) embeds 4 samples in 3 columns: 96 bytes
+    monkeypatch.setattr(spaces, "MAX_EMBED_BYTES", 95)
+    path = gen_example3(3)
+    with pytest.raises(TooLarge, match="96 bytes"):
+        path.coordinate_matrix()
+    inp = write_json(tmp_path / "p.json", path.to_json())
+    out = str(tmp_path / "r.json")
+    assert main(["pvar", "--input", inp, "--p", "1", "--out", out]) == EXIT_INVARIANT
+    assert "above the limit of 95" in capsys.readouterr().err
+    monkeypatch.setattr(spaces, "MAX_EMBED_BYTES", 96)
+    assert main(["pvar", "--input", inp, "--p", "1", "--out", out]) == EXIT_OK
 
 
 def test_lab_step4_writes_csv_and_json(tmp_path):

@@ -2,13 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pvarkit import spaces
 from pvarkit.errors import (
     DomainMismatch,
     InvalidAlpha,
+    NoViolatorFound,
     TooFewPoints,
 )
+from pvarkit.lab import find_holder_violators, gen_example3, power_divergence_candidates
 from pvarkit.operators import (
     Generator,
     composition_bound_check,
@@ -17,7 +23,7 @@ from pvarkit.operators import (
     estimate_holder,
 )
 from pvarkit.paths import DiscretePath
-from pvarkit.spaces import L2, LINF, Vector, diff_norm
+from pvarkit.spaces import L1, L2, LINF, LP, Vector, diff_norm, norm
 from pvarkit.variation import pvar
 
 from conftest import build_corpus
@@ -197,6 +203,10 @@ def test_epsilon_covering_counts():
     with pytest.raises(ValueError):
         epsilon_covering(pts, 0.0)
     assert epsilon_covering([], 1.0) == 0
+    # a path counts its values through its cached embedding
+    path = gen_example3(40)
+    for eps in (0.001, 0.01, 0.1):
+        assert epsilon_covering(path, eps) == epsilon_covering(path.values, eps)
 
 
 def test_bound_report_json():
@@ -205,3 +215,169 @@ def test_bound_report_json():
     doc = rep.to_json()
     assert set(doc) == {"L_hat", "var_p", "var_q", "bound_holds"}
     assert doc["bound_holds"] is True
+
+
+# ---------------------------------------------------------------------------
+# the numpy scans against the plain pair loops
+
+
+def reference_holder(f, points, alpha):
+    """The plain O(n^2) loop over Vector pairs, first strict maximum."""
+    images = [f(v) for v in points]
+    best, witness, count = -1.0, None, 0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if points[i] == points[j]:
+                continue
+            d = diff_norm(points[i], points[j])
+            if d == 0.0:
+                if images[i] == images[j]:
+                    continue
+                return math.inf, (points[i], points[j]), count, True
+            count += 1
+            ratio = diff_norm(images[i], images[j]) / d ** alpha
+            if ratio > best:
+                best, witness = ratio, (points[i], points[j])
+    if count == 0:
+        raise TooFewPoints("points contain fewer than 2 distinct vectors")
+    return best, witness, count, False
+
+
+def assert_holder_matches_reference(f, points, alpha):
+    try:
+        want = reference_holder(f, points, alpha)
+    except TooFewPoints:
+        with pytest.raises(TooFewPoints):
+            estimate_holder(f, points, alpha)
+        return
+    est = estimate_holder(f, points, alpha)
+    assert repr(est.constant) == repr(want[0])
+    # the witness is the very pair of Vector objects the loop picks
+    assert (est.witness is None) == (want[1] is None)
+    if want[1] is not None:
+        assert est.witness[0] is want[1][0] and est.witness[1] is want[1][1]
+    assert (est.pair_count, est.infinite) == want[2:]
+
+
+NORMS = [L1, L2, LINF, LP(1.7)]
+# 0.0 and 1e-200 sit at l2 and lp distance zero: the underflow case
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-200, 1.0, -1.0, 0.5]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def holder_cases(draw):
+    """Points drawn with repeats from a small pool, a generator and alpha."""
+    kind = draw(st.sampled_from(NORMS))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        rows = st.lists(COORDS, min_size=dim, max_size=dim)
+        pool = [Vector.dense(r, kind) for r in draw(st.lists(rows, min_size=1, max_size=6))]
+        gens = [Generator.identity(), Generator.custom(lambda v: 0.5 * v)]
+        if dim == 1:
+            gens += [Generator.power(0.5), Generator.scalar_lipschitz([(-1, 0), (0, 1), (1, -3)])]
+    else:
+        entries = st.dictionaries(st.integers(1, 8), COORDS, max_size=4)
+        pool = [Vector.sparse(e, kind) for e in draw(st.lists(entries, min_size=1, max_size=6))]
+        gens = [Generator.identity(), Generator.l2_sup()]
+    points = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=14))
+    f = draw(st.sampled_from(gens))
+    alpha = draw(st.sampled_from([0.37, 0.5, 1.0]))
+    return f, points, alpha
+
+
+@given(holder_cases())
+@settings(max_examples=400, deadline=None)
+def test_holder_scan_matches_reference_loop(case):
+    assert_holder_matches_reference(*case)
+
+
+def test_holder_scan_rescores_with_scalar_powers():
+    # numpy's array power gives 1.42 ** 0.37 one ulp off Python's, so the
+    # array ratio is 1.2472159522326074; the estimate is the scalar ratio
+    pts = [Vector.dense([0.0]), Vector.dense([1.42])]
+    est = estimate_holder(Generator.identity(), pts, 0.37)
+    assert est.constant == 1.42 / 1.42 ** 0.37 == 1.2472159522326072
+    assert_holder_matches_reference(Generator.identity(), pts, 0.37)
+
+
+def test_holder_scan_keeps_first_pair_of_a_scalar_tie():
+    # both pairs through 0 score exactly 1.0 in scalar arithmetic, while the
+    # array ratios put (0, 2) ahead; the witness is the first pair, (0, 1)
+    pts = [Vector.dense([x]) for x in (0.0, 2.315, 2.609)]
+    est = estimate_holder(Generator.power(0.5), pts, 0.5)
+    assert est.constant == 1.0
+    assert est.witness[0] is pts[0] and est.witness[1] is pts[1]
+    assert_holder_matches_reference(Generator.power(0.5), pts, 0.5)
+    # ties at every pair, identity at alpha = 1: the first pair again
+    line = [Vector.dense([float(k)]) for k in range(5)]
+    est = estimate_holder(Generator.identity(), line, 1.0)
+    assert est.witness[0] is line[0] and est.witness[1] is line[1]
+
+
+@pytest.mark.parametrize("kind", NORMS)
+def test_holder_scan_in_tiny_blocks_on_wide_sparse_rows(kind, monkeypatch):
+    # 48-byte blocks hold no more than one row of the 30-column embedding
+    monkeypatch.setattr(spaces, "BLOCK_BYTES", 48)
+    rng = np.random.default_rng(5)
+    pts = [
+        Vector.sparse({int(k): float(rng.normal()) for k in rng.choice(30, 6) + 1}, kind)
+        for _ in range(25)
+    ]
+    pts += pts[:4]  # repeats
+    for f in (Generator.identity(), Generator.l2_sup()):
+        for alpha in (0.37, 1.0):
+            assert_holder_matches_reference(f, pts, alpha)
+
+
+def reference_violators(f, p, q, M, candidates, count):
+    """The plain loop: every candidate pair rescanned for every n."""
+    images = [f(v) for v in candidates]
+    pairs = []
+    for n in range(1, count + 1):
+        hit = None
+        for i in range(len(candidates)):
+            for j in range(i + 1, len(candidates)):
+                gap = diff_norm(candidates[i], candidates[j])
+                if gap == 0.0:
+                    continue
+                if diff_norm(images[i], images[j]) > 4.0 * M * n * n * gap ** (p / q):
+                    hit = (candidates[i], candidates[j])
+                    break
+            if hit:
+                break
+        if hit is None:
+            return pairs, n
+        pairs.append(hit)
+    return pairs, None
+
+
+@pytest.mark.parametrize(
+    "f, p, q",
+    [
+        (Generator.power(0.25), 1.0, 2.0),
+        (Generator.power(0.5), 1.0, 2.0),
+        (Generator.power(0.1), 1.5, 3.0),
+        (Generator.identity(), 1.0, 2.0),
+    ],
+)
+def test_violator_tables_match_reference(f, p, q):
+    rng = np.random.default_rng(2)
+    sets = [power_divergence_candidates(), power_divergence_candidates(0, 12)]
+    sets.append([Vector.dense([x]) for x in rng.choice([0.0, 0.25, 2.0 ** -20, -1e-9], 9)])
+    # 0 and 1e-200 are at l2 distance zero: never a pair, whatever the images
+    sets.append([Vector.dense([x]) for x in (0.0, 1e-200, 0.5)])
+    for candidates in sets:
+        M = max(norm(f(v)) for v in candidates)
+        want, stop = reference_violators(f, p, q, M, candidates, 12)
+        if stop is None:
+            got = find_holder_violators(f, p, q, M, candidates, 12)
+        else:
+            with pytest.raises(NoViolatorFound) as err:
+                find_holder_violators(f, p, q, M, candidates, 12)
+            assert err.value.n == stop
+            got = find_holder_violators(f, p, q, M, candidates, stop - 1) if stop > 1 else []
+        assert [(u is a and w is b) for (u, w), (a, b) in zip(got, want)] == [True] * len(want)
+        assert len(got) == len(want)

@@ -5,7 +5,7 @@ import pytest
 
 from pvarkit.errors import NotASampleTime, PathInvariantError
 from pvarkit.paths import DiscretePath
-from pvarkit.spaces import L2, Vector
+from pvarkit.spaces import Vector
 
 
 def scalar_path(times, xs, interval=None):

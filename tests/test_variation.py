@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvarkit import variation
+from pvarkit import spaces
 from pvarkit.errors import InvalidExponent, TooLarge
 from pvarkit.paths import DiscretePath
-from pvarkit.spaces import L1, L2, LINF, LP, Vector, diff_norm, row_norms
+from pvarkit.spaces import L1, L2, LINF, LP, Vector, row_norms
 from pvarkit.variation import (
     PVarResult,
     bv_norm,
@@ -267,7 +267,7 @@ def test_equal_values_on_different_samples_tie_to_smallest_index():
 def test_blocked_distances_match_reference(kind, monkeypatch):
     # a 48-byte block holds two rows of three coordinates, so later steps
     # scan the earlier values in several blocks, the last one often short
-    monkeypatch.setattr(variation, "BLOCK_BYTES", 48)
+    monkeypatch.setattr(spaces, "BLOCK_BYTES", 48)
     rng = np.random.default_rng(11)
     coords = np.round(rng.uniform(-2.0, 2.0, size=(41, 3)), 1)
     coords[25:] = coords[rng.integers(0, 25, 16)]  # repeats, too
