@@ -28,7 +28,19 @@ from .errors import (
     TooFewPoints,
 )
 from .paths import DiscretePath
-from .spaces import NormKind, Vector, block_buffer, coordinate_matrix, diff_norm, row_distances
+from .spaces import (
+    _BIG,
+    _EPS,
+    _POW_ULPS,
+    _SMALL,
+    Vector,
+    _distance_error,
+    _trusted_range,
+    block_buffer,
+    coordinate_matrix,
+    diff_norm,
+    row_distances,
+)
 from .variation import _check_pq, _distinct_rows, pvar
 
 __all__ = [
@@ -43,13 +55,6 @@ __all__ = [
 ]
 
 BOUND_TOL = 1e-9
-
-# Ulps by which one float64 power may be off, array or scalar: numpy's array
-# pow and C's pow each round to within a few ulps (they differ by at most
-# one on numpy 2.4).
-_POW_ULPS = 4
-_EPS = float(np.finfo(float).eps)
-_SMALL, _BIG = 2.0 ** -960, 2.0 ** 1000  # far inside the normal floats
 
 
 class Generator:
@@ -222,19 +227,6 @@ class HolderEstimate:
         }
 
 
-def _trusted_range(kind: NormKind, cols: int) -> tuple[float, float]:
-    """Norm values at which array and scalar evaluations obey the band.
-
-    Inside the range every power, sum and root the norm takes is a normal
-    float and nothing overflows.  For lp, terms that underflow (at most
-    ``cols`` of them, each off by under the smallest normal float) move the
-    power sum by under one ulp once that sum is ``cols * _SMALL`` or more.
-    """
-    if kind.tag == "lp":
-        return (cols * _SMALL) ** (1.0 / kind.r), 2.0 ** (1000.0 / kind.r)
-    return _SMALL, 2.0 ** 500 if kind.tag == "l2" else _BIG
-
-
 def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> HolderEstimate:
     """Scan all point pairs for the worst Holder ratio at exponent alpha.
 
@@ -263,18 +255,27 @@ def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> Hol
     if n < 2:
         raise TooFewPoints("need at least 2 points, got %d" % n)
     images = [f(v) for v in points]
-    pmat, imat = coordinate_matrix(points), coordinate_matrix(images)
+    return _holder_scan(points, images, coordinate_matrix(points), coordinate_matrix(images), alpha)
+
+
+def _holder_scan(
+    points: list[Vector], images: list[Vector], pmat: np.ndarray, imat: np.ndarray, alpha: float
+) -> HolderEstimate:
+    """``estimate_holder`` over points and images already embedded."""
+    n = len(points)
     pkind, ikind = points[0].space.norm, images[0].space.norm
     pcode = np.asarray(_distinct_rows(pmat)[0])
     icode = np.asarray(_distinct_rows(imat)[0])
     dlo, dhi = _trusted_range(pkind, pmat.shape[1])
     nlo, nhi = _trusted_range(ikind, imat.shape[1])
-    # Array and scalar ratios are each within (5 _POW_ULPS + 1 + columns of
-    # both embeddings) eps of the exact one: two powers and a sum of at most
-    # `columns` terms per norm, one power for d ** alpha, one rounding for
-    # the division.  They differ by at most twice that, so the pair with
-    # the largest scalar ratio has an array ratio above top (1 - 3 band).
-    band = (10 * _POW_ULPS + 4 + 2 * (pmat.shape[1] + imat.shape[1])) * _EPS
+    # Array and scalar ratios are each within the error of both norms plus
+    # (_POW_ULPS + 2) eps of the exact one: one power for d ** alpha, one
+    # rounding for the division, one spare.  They differ by at most twice
+    # that, so the pair with the largest scalar ratio has an array ratio
+    # above top (1 - 3 band).
+    band = 2.0 * (
+        _distance_error(pmat.shape[1]) + _distance_error(imat.shape[1]) + (_POW_ULPS + 2) * _EPS
+    )
     cut = 1.0 - 3.0 * band
     pbuf, ibuf = block_buffer(n - 1, pmat.shape[1]), block_buffer(n - 1, imat.shape[1])
     top = -math.inf  # largest ratio so far, array or scalar
@@ -356,14 +357,16 @@ def composition_bound_check(
     has no distinct pairs; its estimate is taken as zero.
     """
     p, q = _check_pq(p, q)
+    composed = compose_path(f, path)
+    pmat, imat = path.coordinate_matrix(), composed.coordinate_matrix()
     try:
-        estimate = estimate_holder(f, path.values, p / q)
+        estimate = _holder_scan(path.values, composed.values, pmat, imat, p / q)
         l_hat = estimate.constant
         infinite = estimate.infinite
     except TooFewPoints:
         l_hat, infinite = 0.0, False
     var_p = pvar(path, p).value
-    var_q = pvar(compose_path(f, path), q).value
+    var_q = pvar(composed, q).value
     if infinite:
         holds = True if var_p > 0.0 else var_q <= BOUND_TOL
     else:

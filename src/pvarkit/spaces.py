@@ -16,6 +16,7 @@ vectors of an identical descriptor; anything else raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,13 @@ _NORM_TAGS = ("l1", "l2", "linf", "lp")
 # grows with samples times the union of supports.  Adjust at module level.
 MAX_EMBED_BYTES = 1 << 30
 BLOCK_BYTES = 1 << 18  # differences taken per block of rows: stays in cache
+
+# Ulps by which one float64 power may be off, array or scalar: numpy's array
+# pow and C's pow each round to within a few ulps (they differ by at most
+# one on numpy 2.4).
+_POW_ULPS = 4
+_EPS = float(np.finfo(float).eps)
+_SMALL, _BIG = 2.0 ** -960, 2.0 ** 1000  # far inside the normal floats
 
 
 @dataclass(frozen=True)
@@ -343,11 +351,24 @@ def coordinate_matrix(vectors: Sequence[Vector]) -> np.ndarray:
         )
     if space.kind == "dense":
         return np.stack([v.data for v in vectors])
-    col = {idx: j for j, idx in enumerate(support)}
-    out = np.zeros((len(vectors), len(support)))
-    for i, v in enumerate(vectors):
-        for idx, c in v.data.items():
-            out[i, col[idx]] = c
+    # one scatter per chunk of rows: entries in row order, each column found
+    # in the support; a chunk's index arrays stay within a few blocks
+    dtype = np.int64 if not support or support[-1] < 2 ** 63 else object
+    support = np.array(support, dtype=dtype)
+    out = np.zeros((len(vectors), cols))
+    step = _block_rows(cols)
+    for a in range(0, len(vectors), step):
+        chunk = vectors[a : a + step]
+        lens = np.fromiter((len(v.data) for v in chunk), dtype=np.intp, count=len(chunk))
+        total = int(lens.sum())
+        keys = np.fromiter(
+            chain.from_iterable(v.data.keys() for v in chunk), dtype=dtype, count=total
+        )
+        coords = np.fromiter(
+            chain.from_iterable(v.data.values() for v in chunk), dtype=float, count=total
+        )
+        rows = np.repeat(np.arange(a, a + len(chunk)), lens)
+        out[rows, np.searchsorted(support, keys)] = coords
     return out
 
 
@@ -362,25 +383,66 @@ def block_buffer(rows: int, cols: int) -> np.ndarray:
     It holds at most ``BLOCK_BYTES`` (but always one row), so wide rows are
     differenced a block at a time and never leave the cache.
     """
-    block = max(1, BLOCK_BYTES // (8 * max(1, cols)))
-    return np.empty((max(1, min(block, rows)), cols))
+    return np.empty((max(1, min(_block_rows(cols), rows)), cols))
+
+
+def _block_rows(cols: int) -> int:
+    return max(1, BLOCK_BYTES // (8 * max(1, cols)))
 
 
 def row_distances(
-    rows: np.ndarray, x: np.ndarray, kind: NormKind, buf: np.ndarray
+    rows: np.ndarray,
+    x: np.ndarray,
+    kind: NormKind,
+    buf: np.ndarray,
+    index: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Norm of ``rows[k] - x`` for every row k, taken through ``buf``.
+    """Norm of ``rows[k] - x`` for every row k, or every k in ``index``.
 
-    ``buf`` comes from :func:`block_buffer`; each row's reduction is the
-    same whatever block it falls in, so results do not depend on its size.
+    ``buf`` comes from :func:`block_buffer`; indexed rows are gathered into
+    it a block at a time.  Each row's reduction is the same whatever block
+    it falls in, so results depend neither on the size of ``buf`` nor on
+    which rows are taken with it.
     """
-    n, block = rows.shape[0], buf.shape[0]
-    if n <= block:  # a single block, the usual case for narrow rows
-        diff = np.subtract(rows, x, out=buf[:n])
-        return _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+    n = rows.shape[0] if index is None else len(index)
+    if n <= buf.shape[0]:  # a single block, the usual case for narrow rows
+        return _block_distances(rows, x, kind, buf, index, 0, n)
     out = np.empty(n)
-    for a in range(0, n, block):
-        b = min(a + block, n)
-        diff = np.subtract(rows[a:b], x, out=buf[: b - a])
-        out[a:b] = _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+    for a in range(0, n, buf.shape[0]):
+        b = min(a + buf.shape[0], n)
+        out[a:b] = _block_distances(rows, x, kind, buf, index, a, b)
     return out
+
+
+def _block_distances(rows, x, kind, buf, index, a, b) -> np.ndarray:
+    if index is None:
+        diff = np.subtract(rows[a:b], x, out=buf[: b - a])
+    else:  # the indices are valid, so "clip" only spares a buffered copy
+        diff = np.take(rows, index[a:b], axis=0, out=buf[: b - a], mode="clip")
+        np.subtract(diff, x, out=diff)
+    return _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+
+
+def _trusted_range(kind: NormKind, cols: int) -> tuple[float, float]:
+    """Norm values at which a computed norm is within ``_distance_error``.
+
+    Inside the range every power, sum and root the norm takes is a normal
+    float and nothing overflows.  For l2 and lp, terms that underflow (at
+    most ``cols`` of them, each off by under the smallest normal float)
+    move the power sum by under one ulp once that sum is ``cols * _SMALL``
+    or more.
+    """
+    if kind.tag in ("l2", "lp"):
+        r = 2.0 if kind.tag == "l2" else kind.r
+        return (cols * _SMALL) ** (1.0 / r), 2.0 ** (1000.0 / r)
+    return _SMALL, _BIG
+
+
+def _distance_error(cols: int) -> float:
+    """Relative error of a norm of ``cols`` coordinates in the trusted range.
+
+    Array and scalar norms alike: two powers and a sum of at most ``cols``
+    terms, whose ``cols - 1`` roundings leave room for the one rounding of
+    each difference of coordinates.
+    """
+    return (2 * _POW_ULPS + cols) * _EPS

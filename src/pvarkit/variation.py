@@ -3,9 +3,12 @@
 ``pvar`` maximises the sum of p-th powers of increment norms over
 subsequences of the sample indices with a dynamic program that groups
 predecessors by value, at O(n k d) cost for n samples, k distinct values
-and d coordinates; ``pvar_bruteforce`` enumerates every subsequence
-literally and exists as an independent oracle for the engine, guarded to
-small paths.  Tests hold the two to bit-for-bit agreement.
+and d coordinates.  On tables of values wider than one distance block it
+scores only the values that triangle-inequality bounds cannot rule out of
+a step, with the same result bit for bit.  ``pvar_bruteforce`` enumerates
+every subsequence literally and exists as an independent oracle for the
+engine, guarded to small paths.  Tests hold the two to bit-for-bit
+agreement.
 """
 
 from __future__ import annotations
@@ -17,7 +20,18 @@ import numpy as np
 
 from .errors import InvalidExponent, TooLarge
 from .paths import DiscretePath
-from .spaces import block_buffer, diff_norm, norm as vector_norm, row_distances, row_norms
+from .spaces import (
+    _EPS,
+    _POW_ULPS,
+    _SMALL,
+    _distance_error,
+    _trusted_range,
+    block_buffer,
+    diff_norm,
+    norm as vector_norm,
+    row_distances,
+    row_norms,
+)
 
 __all__ = [
     "PVarResult",
@@ -100,13 +114,22 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     its value, so each step scans the distinct values seen so far with the
     best V of each: O(n k d) for k distinct values.  Ties go to the
     smallest predecessor index, so the output is deterministic.
+
+    When the table of distinct values spans more than one distance block
+    (k d 8 bytes above ``spaces.BLOCK_BYTES``), each value also carries an
+    upper bound on its computed distance to the current sample, moved on
+    by the triangle inequality and widened by the rounding error of the
+    norms.  A value whose candidate V + d^p is certified to fall strictly
+    below the previous value's candidate cannot be, or tie, the step's
+    maximum, so only the others are differenced; value and partition are
+    those of the full scan, bit for bit.
     """
     p = _check_exponent(p)
     mat = path.coordinate_matrix()
     kind = path.space.norm
     s = mat.shape[0]
     codes, rows = _distinct_rows(mat)
-    k = rows.shape[0]
+    k, cols = rows.shape
     top = np.zeros(k)  # best V over the samples of each value
     arg = [0] * k  # the smallest index reaching it
     # V never falls along the samples of one value (a repeat adds 0); each
@@ -114,19 +137,28 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     link = np.full(s, -1)
     best = np.zeros(s)
     pred = np.zeros(s, dtype=np.int64)
-    buf = block_buffer(k, rows.shape[1])  # reused by every step
+    buf = block_buffer(k, cols)  # reused by every step
+    bound = _DistanceBound(rows, kind, p, buf) if buf.shape[0] < k else None
+    live = None  # the values scanned this step, when not all of them
     seen = 1
     for i in range(1, s):
         c = codes[i]
-        gain = row_distances(rows[:seen], rows[c], kind, buf) ** p
-        cand = top[:seen] + gain
+        if bound is None:
+            gain = row_distances(rows[:seen], rows[c], kind, buf) ** p
+            cand = top[:seen] + gain
+        else:
+            live = bound.survivors(c, codes[i - 1], top[:seen])
+            dist = row_distances(rows, rows[c], kind, buf, live)
+            bound.reset(live, dist, c)
+            gain = dist ** p
+            cand = top[live] + gain
         t = int(cand.argmax())
         v = cand[t]
         j = s
         # Find the smallest index whose V + d^p rounds to v.  Without
         # repeats, code order is index order and t is that index.
         for t in (cand == v).nonzero()[0].tolist() if k < s else (t,):
-            r = arg[t]
+            r = arg[t if live is None else live[t]]
             while link[r] >= 0 and best[link[r]] + gain[t] == v:
                 r = link[r]
             j = min(j, r)
@@ -145,6 +177,69 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
         partition.append(int(pred[partition[-1]]))
     partition.reverse()
     return PVarResult(p=p, value=float(best[-1]), partition=partition)
+
+
+class _DistanceBound:
+    """Upper bounds on the computed distance from each distinct value to the
+    current sample, and the values they cannot rule out of a step.
+
+    A computed distance inside ``spaces._trusted_range`` is within a factor
+    1 +- e of the exact one, e = ``spaces._distance_error``.  The bounds
+    keep ub / (1 - e) above each value's exact distance to the current
+    sample.  One sample on, at computed distance delta, the triangle
+    inequality puts the value's computed distance below (ub + delta)
+    (1 + e) / (1 - e), which ``grow`` covers together with the two
+    roundings of the update (for e under 1%).  A bound outside the trusted
+    range proves nothing, and a distance outside it resets its bound to
+    infinity: such values are always scored.
+    """
+
+    def __init__(self, rows: np.ndarray, kind, p: float, buf: np.ndarray):
+        k, cols = rows.shape
+        err = _distance_error(cols)
+        self.rows, self.kind, self.p, self.buf = rows, kind, p, buf
+        self.lo, self.hi = _trusted_range(kind, cols)
+        self.grow = 1.0 + 3.0 * err + 2.0 * _EPS
+        # the powers of a distance and of its bound are each within
+        # _POW_ULPS of exact while the bound's is normal, and g * lift
+        # rounds once more; a rounded sum never falls as a term grows
+        self.lift = 1.0 + (2 * _POW_ULPS + 2) * _EPS
+        self.ub = np.full(k, np.inf)
+        self.ub[0] = 0.0  # the first sample's value
+        # comparisons write here: a fresh small mask every step would stock
+        # numpy's cache of small buffers with one of each size
+        self.keep, self.test = np.empty(k, dtype=bool), np.empty(k, dtype=bool)
+
+    def survivors(self, c: int, b: int, top: np.ndarray) -> np.ndarray:
+        """Indices, ascending, of the values below ``len(top)`` to score.
+
+        ``c`` is the current sample's value and ``b`` the previous one's.
+        The candidate of ``b``, top[b] + d'(b, c)^p, is a lower bound on
+        the step's maximum; a value is passed over only if its candidate
+        is certified to fall strictly below it.
+        """
+        ub = self.ub[: len(top)]
+        with np.errstate(over="ignore"):  # an infinite bound rules nothing out
+            if b == c:  # a repeat: the same row, at distance exactly 0
+                delta, floor = 0.0, top[b]
+            else:  # taken as the scan takes it, so floor is b's candidate
+                dist = row_distances(self.rows, self.rows[c], self.kind, self.buf, [b])
+                delta = dist[0] if self.lo <= dist[0] <= self.hi else np.inf
+                floor = top[b] + (dist ** self.p)[0]
+            ub += delta
+            ub *= self.grow
+            g = ub ** self.p
+            keep, test = self.keep[: len(top)], self.test[: len(top)]
+            np.greater_equal(top + g * self.lift, floor, out=keep)  # both >= 0: no NaN
+        keep |= np.less(g, _SMALL, out=test)  # and every bound out of trusted range
+        keep |= np.less(ub, self.lo, out=test)
+        keep |= np.greater(ub, self.hi, out=test)
+        return keep.nonzero()[0]
+
+    def reset(self, live: np.ndarray, dist: np.ndarray, c: int) -> None:
+        """Take the computed distances of the scored values as their bounds."""
+        self.ub[live] = np.where((dist >= self.lo) & (dist <= self.hi), dist, np.inf)
+        self.ub[c] = 0.0  # the current sample's own value
 
 
 def pvar_bruteforce(path: DiscretePath, p: float) -> PVarResult:

@@ -177,6 +177,23 @@ def test_composition_bound_power_on_scalar_corpus():
         assert rep.var_q == pytest.approx(pvar(compose_path(f, path), q).value)
 
 
+def test_composition_bound_applies_the_map_once_per_sample():
+    calls = []
+
+    def halve(v):
+        calls.append(v)
+        return v * 0.5
+
+    f = Generator.custom(halve)
+    for path in build_corpus(10, seed=4, max_n=8):
+        calls.clear()
+        rep = composition_bound_check(f, path, 1.0, 2.0)
+        assert len(calls) == len(path)
+        composed = compose_path(f, path)
+        assert rep.l_hat == estimate_holder(f, path.values, 0.5).constant
+        assert (rep.var_p, rep.var_q) == (pvar(path, 1.0).value, pvar(composed, 2.0).value)
+
+
 def test_composition_bound_requires_ordered_exponents():
     from pvarkit.errors import InvalidExponent
 

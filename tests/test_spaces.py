@@ -15,9 +15,11 @@ from pvarkit.spaces import (
     LP,
     Vector,
     VectorSpace,
+    block_buffer,
     coordinate_matrix,
     diff_norm,
     norm,
+    row_distances,
 )
 
 NORMS = [L1, L2, LINF, LP(1.5), LP(3.0)]
@@ -174,3 +176,34 @@ def test_zero_vector_and_empty_sparse():
     z = VectorSpace("sparse", L2).zero()
     assert z.is_zero() and norm(z) == 0.0
     assert coordinate_matrix([z]).shape == (1, 0)
+
+
+def test_sparse_embedding_matches_entrywise_fill(rng):
+    # huge indices take an object key array; the fill is the same
+    for top in (40, 2 ** 70):
+        vs = []
+        for _ in range(30):
+            idx = rng.choice(40, size=int(rng.integers(0, 8)), replace=False)
+            entries = {int(i) + 1: float(rng.standard_normal()) for i in idx}
+            if top > 40 and rng.random() < 0.3:
+                entries[top] = 1.5
+            vs.append(Vector.sparse(entries, norm=LINF))
+        support = sorted(set().union(*(v.data for v in vs)))
+        expected = np.zeros((len(vs), len(support)))
+        for i, v in enumerate(vs):
+            for idx, c in v.data.items():
+                expected[i, support.index(idx)] = c
+        assert np.array_equal(coordinate_matrix(vs), expected)
+
+
+@pytest.mark.parametrize("kind", NORMS)
+def test_row_distances_of_indexed_rows(kind, rng):
+    # gathered rows get the distances of the full table, whatever the block
+    table = rng.standard_normal((40, 12))
+    x = rng.standard_normal(12)
+    full = row_distances(table, x, kind, block_buffer(40, 12))
+    index = np.sort(rng.choice(40, size=17, replace=False))
+    for rows in (1, 3, 17, 40):
+        buf = np.empty((rows, 12))
+        assert np.array_equal(row_distances(table, x, kind, buf, index), full[index])
+        assert np.array_equal(row_distances(table, x, kind, buf), full)

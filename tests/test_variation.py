@@ -6,14 +6,16 @@ honest is the core correctness argument for everything built on top.
 """
 
 import math
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvarkit import spaces
+from pvarkit import spaces, variation
 from pvarkit.errors import InvalidExponent, TooLarge
+from pvarkit.lab import gen_example3
 from pvarkit.paths import DiscretePath
 from pvarkit.spaces import L1, L2, LINF, LP, Vector, row_norms
 from pvarkit.variation import (
@@ -211,11 +213,28 @@ def reference_pvar(path, p):
     return float(best[-1]), partition[::-1]
 
 
+# subnormal distances, powers that overflow, and both zeros
+EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+
+
+@contextmanager
+def pruned_route():
+    """pvar's pruned route, which one-row distance blocks force on every
+    path of two or more distinct values."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "BLOCK_BYTES", 8)
+        yield
+
+
+ROUTES = (nullcontext, pruned_route)  # the full scan, then the pruned route
+
+
 @st.composite
 def repeating_paths(draw, max_increments=16):
     """A path drawn from a pool of at most four values, plus an exponent."""
     dim = draw(st.integers(1, 3))
-    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    coord = st.one_of(finite, finite, st.sampled_from(EXTREMES))
     pool = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=4))
     picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=max_increments + 1))
     kind = draw(st.sampled_from([L1, L2, LINF, LP(1.5)]))
@@ -226,47 +245,59 @@ def repeating_paths(draw, max_increments=16):
 
 @given(repeating_paths())
 @settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_dp_equals_bruteforce_bit_for_bit(case):
     path, p = case
-    assert pvar(path, p).value == pvar_bruteforce(path, p).value
+    for route in ROUTES:
+        with route():
+            assert pvar(path, p).value == pvar_bruteforce(path, p).value
 
 
 @given(repeating_paths(max_increments=60))
 @settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_dp_partition_realises_value_and_matches_reference(case):
     path, p = case
-    res = pvar(path, p)
-    part = res.partition
-    assert part[0] == 0 and part[-1] == path.n
-    assert all(a < b for a, b in zip(part, part[1:]))
-    mat = path.coordinate_matrix()
-    total = 0.0
-    for term in row_norms(mat[part[:-1]] - mat[part[1:]], path.space.norm) ** p:
-        total += term
-    assert total == res.value
-    assert (res.value, part) == reference_pvar(path, p)
+    expected = reference_pvar(path, p)
+    for route in ROUTES:
+        with route():
+            res = pvar(path, p)
+        part = res.partition
+        assert part[0] == 0 and part[-1] == path.n
+        assert all(a < b for a, b in zip(part, part[1:]))
+        mat = path.coordinate_matrix()
+        total = 0.0
+        for term in row_norms(mat[part[:-1]] - mat[part[1:]], path.space.norm) ** p:
+            total += term
+        assert total == res.value
+        assert (res.value, part) == expected
 
 
 def test_rounding_tie_keeps_smallest_predecessor():
     # 0 + 1 and 2e-18 + 1 both round to 1, so sample 0 and sample 2 (both
     # at 0) tie as predecessors of the last sample; the smaller one wins
     path = scalar_path([0.0, 1e-6, 0.0, 1e-6, 1.0])
-    res = pvar(path, 3.0)
-    assert (res.value, res.partition) == (1.0, [0, 4]) == reference_pvar(path, 3.0)
+    for route in ROUTES:
+        with route():
+            res = pvar(path, 3.0)
+        assert (res.value, res.partition) == (1.0, [0, 4]) == reference_pvar(path, 3.0)
 
 
 def test_equal_values_on_different_samples_tie_to_smallest_index():
     # symmetric spikes: 1 and -1 sit at the same distance from 0
     path = scalar_path([0.0, 1.0, 0.0, -1.0, 0.0, 1.0, -1.0, 0.0])
-    for e in (1.0, 2.0, 3.0):
-        res = pvar(path, e)
-        assert (res.value, res.partition) == reference_pvar(path, e)
+    for route in ROUTES:
+        for e in (1.0, 2.0, 3.0):
+            with route():
+                res = pvar(path, e)
+            assert (res.value, res.partition) == reference_pvar(path, e)
 
 
 @pytest.mark.parametrize("kind", [L1, L2, LINF, LP(1.5)])
 def test_blocked_distances_match_reference(kind, monkeypatch):
-    # a 48-byte block holds two rows of three coordinates, so later steps
-    # scan the earlier values in several blocks, the last one often short
+    # a 48-byte block holds two rows of three coordinates: the table spans
+    # several blocks, so pvar prunes and gathers what it scores in blocks,
+    # the last one often short
     monkeypatch.setattr(spaces, "BLOCK_BYTES", 48)
     rng = np.random.default_rng(11)
     coords = np.round(rng.uniform(-2.0, 2.0, size=(41, 3)), 1)
@@ -276,3 +307,65 @@ def test_blocked_distances_match_reference(kind, monkeypatch):
     for p in (1.0, 2.0, 3.0):
         res = pvar(path, p)
         assert (res.value, res.partition) == reference_pvar(path, p)
+
+
+@pytest.mark.parametrize("kind", [L1, L2, LINF, LP(3.0)])
+def test_pruned_route_on_wide_rows_matches_reference(kind, monkeypatch):
+    # 20 columns, so sums pair up their terms; three rows to a block, so the
+    # scored values are gathered across several blocks
+    monkeypatch.setattr(spaces, "BLOCK_BYTES", 3 * 20 * 8)
+    rng = np.random.default_rng(3)
+    steps = rng.standard_normal((70, 20)) * 10.0 ** rng.integers(-2, 3, (70, 1))
+    coords = np.cumsum(steps, axis=0)
+    coords[50:] = coords[rng.integers(0, 50, 20)]  # repeats, too
+    values = [Vector.dense(row, norm=kind) for row in coords]
+    path = DiscretePath([float(t) for t in range(len(values))], values)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        res = pvar(path, p)
+        assert (res.value, res.partition) == reference_pvar(path, p)
+
+
+def test_pruning_engages_on_wide_sparse_paths(monkeypatch):
+    # 301 distinct rows of 300 columns span several default blocks; the
+    # previous value, one more and the step distance are all that is scored
+    path = gen_example3(300)
+    rows = []
+
+    def counted(table, x, kind, buf, index=None):
+        rows.append(table.shape[0] if index is None else len(index))
+        return distances(table, x, kind, buf, index)
+
+    distances = variation.row_distances
+    monkeypatch.setattr(variation, "row_distances", counted)
+    res = pvar(path, 1.0)
+    assert sum(rows) <= 3 * len(path)
+    monkeypatch.setattr(spaces, "BLOCK_BYTES", 1 << 30)  # one block: the full scan
+    rows.clear()
+    assert pvar(path, 1.0) == res
+    assert sum(rows) == len(path) * (len(path) - 1) // 2
+
+
+@pytest.mark.parametrize("kind", [L1, L2, LINF, LP(1.5)])
+def test_distance_bounds_stay_above_computed_distances(kind, monkeypatch):
+    # on a line the triangle inequality is tight, so only the allowance for
+    # rounding keeps each bound above its value's computed distance
+    rng = np.random.default_rng(2)
+    direction = rng.standard_normal(300) * 10.0 ** rng.integers(-3, 4, 300)
+    rows = np.cumsum(rng.uniform(0.1, 1.0, 80))[:, None] * direction
+    path = DiscretePath([float(t) for t in range(80)], [Vector.dense(r, norm=kind) for r in rows])
+    survivors = variation._DistanceBound.survivors
+    scored = []
+
+    def checked(self, c, b, top):
+        live = survivors(self, c, b, top)
+        computed = spaces.row_distances(self.rows[: len(top)], self.rows[c], kind, self.buf)
+        assert np.all(computed <= self.ub[: len(top)])
+        scored.append(len(live))
+        return live
+
+    monkeypatch.setattr(variation._DistanceBound, "survivors", checked)
+    for p in (1.0, 2.0):
+        with pruned_route():
+            res = pvar(path, p)
+        assert (res.value, res.partition) == reference_pvar(path, p)
+    assert len(scored) == 2 * 79 and sum(scored) < 79 * 80  # p = 2 was pruned
