@@ -3,7 +3,7 @@
 ``pvar`` maximises the sum of p-th powers of increment norms over
 subsequences of the sample indices with a dynamic program that groups
 predecessors by value, at O(n k d) cost for n samples, k distinct values
-and d coordinates.  On tables of values wider than one distance block it
+and d coordinates.  On large tables of values of two or more columns it
 scores only the values that triangle-inequality bounds cannot rule out of
 a step, with the same result bit for bit.  ``pvar_bruteforce`` enumerates
 every subsequence literally and exists as an independent oracle for the
@@ -45,6 +45,23 @@ __all__ = [
 ]
 
 BRUTEFORCE_LIMIT = 20  # increments, i.e. 2^(n-1) candidate subsequences
+
+# Tables of distinct values that pvar prunes.  Pruning adds some 40 us of
+# numpy calls and a dozen passes over the k values to every step, so it
+# pays only where the full scan's differencing costs more: on tables of at
+# least PRUNE_MIN_VALUES values and PRUNE_MIN_COLS columns whose work,
+# k (cols + 16), is PRUNE_MIN_WORK or more.  To the full scan a row of two
+# or more columns costs about as much as 16 more columns (the overhead of
+# its reduction); one column needs no reduction, and there pruning never
+# won.  Timed on 2 vCPUs over walks and noise at p = 1 and 2: one-column
+# paths ran 2-5x slower pruned up to 6,000 samples and 0.9-2x the time at
+# 40,000; tables below the gate up to 7x slower (50 values) or 1.7x
+# (256 x 128, 1,000 x 8); tables at or above it from 1.2x slower
+# (512 x 128) to 7x faster (16,384 x 2), and sup-normed example 3 paths of
+# 1,000 samples or more 6-30x faster.
+PRUNE_MIN_COLS = 2
+PRUNE_MIN_VALUES = 256
+PRUNE_MIN_WORK = 1 << 16
 
 
 @dataclass
@@ -115,8 +132,8 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     best V of each: O(n k d) for k distinct values.  Ties go to the
     smallest predecessor index, so the output is deterministic.
 
-    When the table of distinct values spans more than one distance block
-    (k d 8 bytes above ``spaces.BLOCK_BYTES``), each value also carries an
+    On large tables of distinct values (``PRUNE_MIN_COLS``,
+    ``PRUNE_MIN_VALUES`` and ``PRUNE_MIN_WORK``), each value also carries an
     upper bound on its computed distance to the current sample, moved on
     by the triangle inequality and widened by the rounding error of the
     norms.  A value whose candidate V + d^p is certified to fall strictly
@@ -138,7 +155,9 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     best = np.zeros(s)
     pred = np.zeros(s, dtype=np.int64)
     buf = block_buffer(k, cols)  # reused by every step
-    bound = _DistanceBound(rows, kind, p, buf) if buf.shape[0] < k else None
+    work = k * (cols + 16)  # see PRUNE_MIN_WORK
+    prune = cols >= PRUNE_MIN_COLS and k >= PRUNE_MIN_VALUES and work >= PRUNE_MIN_WORK
+    bound = _DistanceBound(rows, kind, p, buf) if prune else None
     live = None  # the values scanned this step, when not all of them
     seen = 1
     for i in range(1, s):
@@ -147,6 +166,8 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
             gain = row_distances(rows[:seen], rows[c], kind, buf) ** p
             cand = top[:seen] + gain
         else:
+            # the previous value is scored here again: one more row in the
+            # gather costs less than splicing in the distance already taken
             live = bound.survivors(c, codes[i - 1], top[:seen])
             dist = row_distances(rows, rows[c], kind, buf, live)
             bound.reset(live, dist, c)

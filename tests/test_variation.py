@@ -218,11 +218,14 @@ EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
 
 
 @contextmanager
-def pruned_route():
-    """pvar's pruned route, which one-row distance blocks force on every
-    path of two or more distinct values."""
+def pruned_route(block_bytes=8):
+    """pvar's pruned route on tables of every size.  One-row distance blocks,
+    the default here, gather what it scores a row at a time."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spaces, "BLOCK_BYTES", 8)
+        patch.setattr(variation, "PRUNE_MIN_COLS", 0)
+        patch.setattr(variation, "PRUNE_MIN_VALUES", 0)
+        patch.setattr(variation, "PRUNE_MIN_WORK", 0)
+        patch.setattr(spaces, "BLOCK_BYTES", block_bytes)
         yield
 
 
@@ -230,11 +233,15 @@ ROUTES = (nullcontext, pruned_route)  # the full scan, then the pruned route
 
 
 @st.composite
-def repeating_paths(draw, max_increments=16):
-    """A path drawn from a pool of at most four values, plus an exponent."""
+def repeating_paths(draw, max_increments=16, extremes=False):
+    """A path drawn from a pool of at most four values, plus an exponent.
+
+    With ``extremes``, half the coordinates come from ``EXTREMES``.
+    """
     dim = draw(st.integers(1, 3))
-    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    coord = st.one_of(finite, finite, st.sampled_from(EXTREMES))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    if extremes:
+        coord = st.one_of(coord, st.sampled_from(EXTREMES))
     pool = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=4))
     picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=max_increments + 1))
     kind = draw(st.sampled_from([L1, L2, LINF, LP(1.5)]))
@@ -243,21 +250,13 @@ def repeating_paths(draw, max_increments=16):
     return DiscretePath([float(t) for t in range(len(values))], values), p
 
 
-@given(repeating_paths())
-@settings(max_examples=150, deadline=None)
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_dp_equals_bruteforce_bit_for_bit(case):
-    path, p = case
+def check_equals_bruteforce(path, p):
     for route in ROUTES:
         with route():
             assert pvar(path, p).value == pvar_bruteforce(path, p).value
 
 
-@given(repeating_paths(max_increments=60))
-@settings(max_examples=300, deadline=None)
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_dp_partition_realises_value_and_matches_reference(case):
-    path, p = case
+def check_partition_matches_reference(path, p):
     expected = reference_pvar(path, p)
     for route in ROUTES:
         with route():
@@ -271,6 +270,32 @@ def test_dp_partition_realises_value_and_matches_reference(case):
             total += term
         assert total == res.value
         assert (res.value, part) == expected
+
+
+@given(repeating_paths())
+@settings(max_examples=150, deadline=None)
+def test_dp_equals_bruteforce_bit_for_bit(case):
+    check_equals_bruteforce(*case)
+
+
+@given(repeating_paths(max_increments=60))
+@settings(max_examples=300, deadline=None)
+def test_dp_partition_realises_value_and_matches_reference(case):
+    check_partition_matches_reference(*case)
+
+
+@given(repeating_paths(extremes=True))
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_dp_equals_bruteforce_on_extreme_pools(case):
+    check_equals_bruteforce(*case)
+
+
+@given(repeating_paths(max_increments=60, extremes=True))
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_dp_partition_matches_reference_on_extreme_pools(case):
+    check_partition_matches_reference(*case)
 
 
 def test_rounding_tie_keeps_smallest_predecessor():
@@ -295,9 +320,8 @@ def test_equal_values_on_different_samples_tie_to_smallest_index():
 
 @pytest.mark.parametrize("kind", [L1, L2, LINF, LP(1.5)])
 def test_blocked_distances_match_reference(kind, monkeypatch):
-    # a 48-byte block holds two rows of three coordinates: the table spans
-    # several blocks, so pvar prunes and gathers what it scores in blocks,
-    # the last one often short
+    # a 48-byte block holds two rows of three coordinates, so later steps
+    # scan the earlier values in several blocks, the last one often short
     monkeypatch.setattr(spaces, "BLOCK_BYTES", 48)
     rng = np.random.default_rng(11)
     coords = np.round(rng.uniform(-2.0, 2.0, size=(41, 3)), 1)
@@ -310,10 +334,9 @@ def test_blocked_distances_match_reference(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [L1, L2, LINF, LP(3.0)])
-def test_pruned_route_on_wide_rows_matches_reference(kind, monkeypatch):
+def test_pruned_route_on_wide_rows_matches_reference(kind):
     # 20 columns, so sums pair up their terms; three rows to a block, so the
     # scored values are gathered across several blocks
-    monkeypatch.setattr(spaces, "BLOCK_BYTES", 3 * 20 * 8)
     rng = np.random.default_rng(3)
     steps = rng.standard_normal((70, 20)) * 10.0 ** rng.integers(-2, 3, (70, 1))
     coords = np.cumsum(steps, axis=0)
@@ -321,13 +344,14 @@ def test_pruned_route_on_wide_rows_matches_reference(kind, monkeypatch):
     values = [Vector.dense(row, norm=kind) for row in coords]
     path = DiscretePath([float(t) for t in range(len(values))], values)
     for p in (1.0, 1.5, 2.0, 3.0):
-        res = pvar(path, p)
+        with pruned_route(block_bytes=3 * 20 * 8):
+            res = pvar(path, p)
         assert (res.value, res.partition) == reference_pvar(path, p)
 
 
 def test_pruning_engages_on_wide_sparse_paths(monkeypatch):
-    # 301 distinct rows of 300 columns span several default blocks; the
-    # previous value, one more and the step distance are all that is scored
+    # 301 distinct rows of 300 columns clear the default gate; the previous
+    # value, one more and the step distance are all that is scored
     path = gen_example3(300)
     rows = []
 
@@ -339,7 +363,7 @@ def test_pruning_engages_on_wide_sparse_paths(monkeypatch):
     monkeypatch.setattr(variation, "row_distances", counted)
     res = pvar(path, 1.0)
     assert sum(rows) <= 3 * len(path)
-    monkeypatch.setattr(spaces, "BLOCK_BYTES", 1 << 30)  # one block: the full scan
+    monkeypatch.setattr(variation, "PRUNE_MIN_VALUES", len(path) + 1)  # the full scan
     rows.clear()
     assert pvar(path, 1.0) == res
     assert sum(rows) == len(path) * (len(path) - 1) // 2
@@ -369,3 +393,14 @@ def test_distance_bounds_stay_above_computed_distances(kind, monkeypatch):
             res = pvar(path, p)
         assert (res.value, res.partition) == reference_pvar(path, p)
     assert len(scored) == 2 * 79 and sum(scored) < 79 * 80  # p = 2 was pruned
+
+
+def test_single_column_tables_take_the_full_scan(monkeypatch):
+    # however large, a one-column table is differenced in full each step:
+    # there the pruned route's passes over the bounds cost as much as that
+    path = scalar_path(np.cumsum(np.random.default_rng(5).standard_normal(400)).tolist())
+    monkeypatch.setattr(variation, "PRUNE_MIN_VALUES", 0)
+    monkeypatch.setattr(variation, "PRUNE_MIN_WORK", 0)
+    monkeypatch.setattr(variation, "_DistanceBound", None)  # fails if built
+    res = pvar(path, 1.0)
+    assert (res.value, res.partition) == reference_pvar(path, 1.0)
