@@ -1,12 +1,13 @@
 """Composition operators and empirical Holder-constant estimation.
 
 A :class:`Generator` is a pointwise map f on vectors; ``compose_path``
-pushes a whole path through it, sample by sample.  ``estimate_holder``
-scans a finite point set for the largest ratio |f(u) - f(w)| / |u - w|^alpha,
-which lower-bounds any true Holder constant of f on that set, and
-``composition_bound_check`` ties the pieces together: with alpha = p/q and
-the constant estimated on the exact range of the path, the q-variation of
-the composed path can never exceed L^q times the p-variation of the input.
+pushes a whole path through it, once per distinct value object.
+``estimate_holder`` scans a finite point set for the largest ratio
+|f(u) - f(w)| / |u - w|^alpha, which lower-bounds any true Holder constant
+of f on that set, and ``composition_bound_check`` ties the pieces
+together: with alpha = p/q and the constant estimated on the exact range
+of the path, the q-variation of the composed path can never exceed L^q
+times the p-variation of the input.
 
 The pair scans take their distances row by row from the coordinate
 embedding through ``spaces.row_distances``, the kernel ``pvar`` uses too;
@@ -195,8 +196,15 @@ class Generator:
 
 
 def compose_path(f: Generator, path: DiscretePath) -> DiscretePath:
-    """Apply ``f`` to every sample value, keeping the time grid."""
-    return DiscretePath(path.times, [f(v) for v in path.values], path.interval)
+    """Apply ``f`` to every sample value, keeping the time grid.
+
+    ``f`` is applied once per distinct value object, in order of first
+    appearance; samples holding the same object share its image.
+    """
+    # path.values keeps every object alive, so no id is reused meanwhile
+    firsts = {id(v): v for v in path.values}
+    images = {key: f(v) for key, v in firsts.items()}
+    return DiscretePath(path.times, [images[id(v)] for v in path.values], path.interval)
 
 
 @dataclass

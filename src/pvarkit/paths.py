@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NotASampleTime, PathInvariantError
-from .spaces import Vector, VectorSpace, coordinate_matrix
+from .spaces import Vector, VectorSpace, _one_per_space, coordinate_matrix
 
 __all__ = ["DiscretePath", "MAX_SAMPLES"]
 
@@ -60,7 +60,7 @@ class DiscretePath:
         if times[-1] != b:
             raise PathInvariantError("last time must equal the interval end")
         space = values[0].space
-        for v in values[1:]:
+        for v in _one_per_space(values):
             if v.space != space:
                 raise PathInvariantError("values do not share one space")
         times.flags.writeable = False

@@ -183,25 +183,12 @@ class Vector:
 
     @classmethod
     def dense(cls, coords: Sequence[float], norm: NormKind = L2) -> "Vector":
-        arr = np.array(coords, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("dense vector needs a 1-d coordinate list")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coordinates must be finite")
+        arr = _dense_data(coords)
         return cls(VectorSpace("dense", norm, arr.size), arr)
 
     @classmethod
     def sparse(cls, entries: Mapping[int, float], norm: NormKind = L2) -> "Vector":
-        clean = {}
-        for idx, coord in entries.items():
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
-                raise ValueError("sparse indices are integers >= 1, got %r" % (idx,))
-            c = float(coord)
-            if not np.isfinite(c):
-                raise ValueError("coordinates must be finite")
-            if c != 0.0:  # never store an explicit zero
-                clean[idx] = c
-        return cls(VectorSpace("sparse", norm), clean)
+        return cls(VectorSpace("sparse", norm), _sparse_data(entries))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -287,7 +274,8 @@ class Vector:
                     "dense vector has %d coordinates, space has dim %d"
                     % (len(coords), space.dim)
                 )
-            return cls.dense(coords, space.norm)
+            # the file's one space object, which path checks compare once
+            return cls(space, _dense_data(coords))
         if "sparse" in obj:
             if space.kind != "sparse":
                 raise ValueError("sparse vector in a dense space")
@@ -297,8 +285,30 @@ class Vector:
                 if str(idx) != key or idx < 1:
                     raise ValueError("sparse index keys are positive integers, got %r" % (key,))
                 entries[idx] = float(coord)
-            return cls.sparse(entries, space.norm)
+            return cls(space, _sparse_data(entries))
         raise ValueError("vector must be {'dense': [...]} or {'sparse': {...}}")
+
+
+def _dense_data(coords: Sequence[float]) -> np.ndarray:
+    arr = np.array(coords, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("dense vector needs a 1-d coordinate list")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coordinates must be finite")
+    return arr
+
+
+def _sparse_data(entries: Mapping[int, float]) -> dict:
+    clean = {}
+    for idx, coord in entries.items():
+        if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
+            raise ValueError("sparse indices are integers >= 1, got %r" % (idx,))
+        c = float(coord)
+        if not np.isfinite(c):
+            raise ValueError("coordinates must be finite")
+        if c != 0.0:  # never store an explicit zero
+            clean[idx] = c
+    return clean
 
 
 def _same_space(u: Vector, w: Vector) -> None:
@@ -307,6 +317,11 @@ def _same_space(u: Vector, w: Vector) -> None:
             "vectors live in different spaces: %s vs %s"
             % (u.space.to_json(), w.space.to_json())
         )
+
+
+def _one_per_space(vectors: Sequence[Vector]):
+    """One vector per distinct space object: checking these checks all."""
+    return {id(v.space): v for v in vectors}.values()
 
 
 def norm(v: Vector) -> float:
@@ -336,7 +351,7 @@ def coordinate_matrix(vectors: Sequence[Vector]) -> np.ndarray:
     if not vectors:
         return np.zeros((0, 0))
     space = vectors[0].space
-    for v in vectors[1:]:
+    for v in _one_per_space(vectors):
         _same_space(vectors[0], v)
     if space.kind == "dense":
         cols = space.dim

@@ -108,6 +108,21 @@ def test_compose_path_keeps_times_and_interval():
     assert [v.data[0] for v in out.values] == [0.5, 1.0, 0.0]
 
 
+def test_compose_path_maps_each_value_object_once():
+    u, w = Vector.dense([0.25]), Vector.dense([-4.0])
+    p = DiscretePath([0.0, 1.0, 2.0, 3.0, 4.0], [u, w, u, u, Vector.dense([0.25])])
+    calls = []
+
+    def power(v):
+        calls.append(v)
+        return Generator.power(0.5)(v)
+
+    out = compose_path(Generator.custom(power), p)
+    assert [id(v) for v in calls] == [id(u), id(w), id(p.values[4])]
+    assert out.values == [Generator.power(0.5)(v) for v in p.values]
+    assert out.values[0] is out.values[2] is out.values[3]
+
+
 # frozen: max over 45 pairs of |i - j| / sqrt(2) at K = 10
 def test_holder_estimate_on_score_map():
     pts = [Vector.sparse({k: 1.0}) for k in range(1, 11)]

@@ -5,7 +5,7 @@ import pytest
 
 from pvarkit.errors import NotASampleTime, PathInvariantError
 from pvarkit.paths import DiscretePath
-from pvarkit.spaces import Vector
+from pvarkit.spaces import L1, Vector
 
 
 def scalar_path(times, xs, interval=None):
@@ -45,6 +45,11 @@ def test_mixed_spaces_rejected():
     values = [Vector.dense([1.0]), Vector.dense([1.0, 2.0])]
     with pytest.raises(PathInvariantError, match="one space"):
         DiscretePath([0.0, 1.0], values, (0.0, 1.0))
+    # one shared space object, then a different space at the last sample
+    u = Vector.dense([1.0])
+    values = [u, u * 2.0, u, Vector.dense([1.0], norm=L1)]
+    with pytest.raises(PathInvariantError, match="one space"):
+        DiscretePath([0.0, 1.0, 2.0, 3.0], values)
 
 
 def test_sample_cap_enforced():
@@ -100,6 +105,7 @@ def test_json_round_trip_preserves_everything():
     assert list(q.values) == list(p.values)
     assert q.interval == p.interval
     assert q.space == p.space
+    assert all(v.space is q.space for v in q.values)  # the file's one space
 
 
 def test_from_json_revalidates():

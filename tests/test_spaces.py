@@ -110,6 +110,8 @@ def test_space_mismatch_raises():
         diff_norm(u, Vector.dense([1.0, 2.0], norm=L1))
     with pytest.raises(SpaceMismatch):
         Vector.sparse({1: 1.0}) + Vector.dense([1.0])
+    with pytest.raises(SpaceMismatch):  # shared space objects, then another
+        coordinate_matrix([w, w * 2.0, w, u])
 
 
 def test_vectors_are_immutable():
@@ -135,7 +137,7 @@ def test_json_round_trip_dense_and_sparse():
     ):
         again = Vector.from_json(v.space, v.to_json())
         assert again == v
-        assert again.space == v.space
+        assert again.space is v.space
 
 
 def test_space_json_round_trip():

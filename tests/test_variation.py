@@ -6,7 +6,7 @@ honest is the core correctness argument for everything built on top.
 """
 
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,9 +15,15 @@ from hypothesis import strategies as st
 
 from pvarkit import spaces, variation
 from pvarkit.errors import InvalidExponent, TooLarge
-from pvarkit.lab import gen_example3
-from pvarkit.paths import DiscretePath
-from pvarkit.spaces import L1, L2, LINF, LP, Vector, row_norms
+from pvarkit.lab import (
+    find_holder_violators,
+    gen_example3,
+    gen_step4_path,
+    power_divergence_candidates,
+)
+from pvarkit.operators import Generator, compose_path
+from pvarkit.paths import MAX_SAMPLES, DiscretePath
+from pvarkit.spaces import L1, L2, LINF, LP, Vector, norm as vector_norm, row_norms
 from pvarkit.variation import (
     PVarResult,
     bv_norm,
@@ -218,10 +224,28 @@ EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
 
 
 @contextmanager
+def full_scan_route():
+    """pvar's full scan on tables of every size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variation, "TABLE_MAX_VALUES", 0)
+        patch.setattr(variation, "PRUNE_MIN_VALUES", MAX_SAMPLES + 1)
+        yield
+
+
+@contextmanager
+def table_route():
+    """pvar's gain-table route on tables of every size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variation, "TABLE_MAX_VALUES", MAX_SAMPLES)
+        yield
+
+
+@contextmanager
 def pruned_route(block_bytes=8):
     """pvar's pruned route on tables of every size.  One-row distance blocks,
     the default here, gather what it scores a row at a time."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variation, "TABLE_MAX_VALUES", 0)
         patch.setattr(variation, "PRUNE_MIN_COLS", 0)
         patch.setattr(variation, "PRUNE_MIN_VALUES", 0)
         patch.setattr(variation, "PRUNE_MIN_WORK", 0)
@@ -229,7 +253,7 @@ def pruned_route(block_bytes=8):
         yield
 
 
-ROUTES = (nullcontext, pruned_route)  # the full scan, then the pruned route
+ROUTES = (full_scan_route, table_route, pruned_route)
 
 
 @st.composite
@@ -320,17 +344,19 @@ def test_equal_values_on_different_samples_tie_to_smallest_index():
 
 @pytest.mark.parametrize("kind", [L1, L2, LINF, LP(1.5)])
 def test_blocked_distances_match_reference(kind, monkeypatch):
-    # a 48-byte block holds two rows of three coordinates, so later steps
-    # scan the earlier values in several blocks, the last one often short
+    # a 48-byte block holds two rows of three coordinates, so steps and
+    # table rows take the values in several blocks, the last one often short
     monkeypatch.setattr(spaces, "BLOCK_BYTES", 48)
     rng = np.random.default_rng(11)
     coords = np.round(rng.uniform(-2.0, 2.0, size=(41, 3)), 1)
     coords[25:] = coords[rng.integers(0, 25, 16)]  # repeats, too
     values = [Vector.dense(row, norm=kind) for row in coords]
     path = DiscretePath([float(t) for t in range(len(values))], values)
-    for p in (1.0, 2.0, 3.0):
-        res = pvar(path, p)
-        assert (res.value, res.partition) == reference_pvar(path, p)
+    for route in ROUTES:
+        for p in (1.0, 2.0, 3.0):
+            with route():
+                res = pvar(path, p)
+            assert (res.value, res.partition) == reference_pvar(path, p)
 
 
 @pytest.mark.parametrize("kind", [L1, L2, LINF, LP(3.0)])
@@ -349,18 +375,67 @@ def test_pruned_route_on_wide_rows_matches_reference(kind):
         assert (res.value, res.partition) == reference_pvar(path, p)
 
 
-def test_pruning_engages_on_wide_sparse_paths(monkeypatch):
-    # 301 distinct rows of 300 columns clear the default gate; the previous
-    # value, one more and the step distance are all that is scored
-    path = gen_example3(300)
+def counted_rows(monkeypatch):
+    """The rows each call of pvar's distance kernel differences, appended."""
     rows = []
+    distances = variation.row_distances
 
     def counted(table, x, kind, buf, index=None):
         rows.append(table.shape[0] if index is None else len(index))
         return distances(table, x, kind, buf, index)
 
-    distances = variation.row_distances
     monkeypatch.setattr(variation, "row_distances", counted)
+    return rows
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_array_power_gives_each_element_the_same_bits_anywhere(p):
+    # a table row powers all k distances at once, a full-scan step a prefix
+    # of them: either way each element must come out the same
+    rng = np.random.default_rng(4)
+    x = np.abs(rng.standard_normal(100)) * 10.0 ** rng.integers(-100, 101, 100)
+    x[::9] = 0.0
+    whole = (x ** p).view(np.int64)
+    for a in range(17):
+        for b in range(a + 1, x.size + 1):
+            assert np.array_equal((x[a:b] ** p).view(np.int64), whole[a:b])
+
+
+def test_step4_paths_take_the_gain_table(monkeypatch):
+    # the composed spike train of depth 8: 9,560 samples of a few values
+    f = Generator.power(0.25)
+    candidates = power_divergence_candidates()
+    M = max(vector_norm(f(v)) for v in candidates)
+    pairs = find_holder_violators(f, 1.0, 2.0, M, candidates, 8)
+    path = compose_path(f, gen_step4_path(1.0, 2.0, pairs, 8))
+    k = len(np.unique(path.coordinate_matrix(), axis=0))
+    assert len(path) == 9560 and k <= variation.TABLE_MAX_VALUES
+    rows = counted_rows(monkeypatch)
+    res = pvar(path, 2.0)
+    assert rows == [k] * k  # one table row per value, and nothing else
+    with full_scan_route():
+        full = pvar(path, 2.0)
+    assert len(rows) == k + len(path) - 1
+    assert (res.value.hex(), res.partition) == (full.value.hex(), full.partition)
+
+
+@pytest.mark.parametrize("extra, table", [(0, True), (1, False)])
+def test_table_gate(extra, table, monkeypatch):
+    # TABLE_MAX_VALUES values take the table, one more the full scan
+    k = variation.TABLE_MAX_VALUES + extra
+    rng = np.random.default_rng(9)
+    path = scalar_path(rng.standard_normal(k)[np.r_[np.arange(k), rng.integers(0, k, 2 * k)]])
+    rows = counted_rows(monkeypatch)
+    res = pvar(path, 2.0)
+    assert len(rows) == (k if table else len(path) - 1)
+    assert (res.value, res.partition) == reference_pvar(path, 2.0)
+
+
+def test_pruning_engages_on_wide_sparse_paths(monkeypatch):
+    # 301 distinct rows of 300 columns clear the default gate; the previous
+    # value, one more and the step distance are all that is scored
+    path = gen_example3(300)
+    rows = counted_rows(monkeypatch)
     res = pvar(path, 1.0)
     assert sum(rows) <= 3 * len(path)
     monkeypatch.setattr(variation, "PRUNE_MIN_VALUES", len(path) + 1)  # the full scan
