@@ -156,14 +156,11 @@ def gen_example3(depth: int) -> DiscretePath:
     """
     depth = _check_depth(depth)
     space = VectorSpace("sparse", LINF)
-    times, values, entries = [], [], {}
+    values, entries = [], {}
     for k in range(1, depth + 1):
         entries[k] = 1.0 / (k * k)
-        times.append(1.0 - 1.0 / k)
         values.append(Vector(space, dict(entries)))
-    times.append(1.0)
-    values.append(space.zero())
-    return DiscretePath(times, values, (0.0, 1.0))
+    return gen_step2_path(values)
 
 
 def gen_step2_path(step_values: Sequence[Vector]) -> DiscretePath:
@@ -186,6 +183,18 @@ def _spike_block(t0, t1, background, spike, m, times, values) -> None:
         values.append(spike)
         times.append(t0 + k * h + h / 2.0)
         values.append(background)
+
+
+def _spike_train(interval, background, spike, m) -> DiscretePath:
+    # background at both ends of [a, b] with m spikes equally spaced inside
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise ValueError("interval must satisfy a < b")
+    times, values = [a], [background]
+    _spike_block(a, b, background, spike, m, times, values)
+    times.append(b)
+    values.append(background)
+    return DiscretePath(times, values, (a, b))
 
 
 SpikeBlock = namedtuple("SpikeBlock", "n u w gap m_raw m_used capped")
@@ -468,14 +477,7 @@ def gen_thm6_spikes(
             "spike count %s exceeds the cap %d"
             % ("over 9e15" if m is None else str(m), cap)
         )
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
-    times, values = [a], [w]
-    _spike_block(a, b, w, u, m, times, values)
-    times.append(b)
-    values.append(w)
-    path = DiscretePath(times, values, (a, b))
+    path = _spike_train(interval, w, u, m)
     if 2.0 * m * gap ** p > 2.0 + BOUND_TOL:
         raise PvarkitError("spike train exceeded its variation budget")
     if pvar(path, p).value > 2.0 + BOUND_TOL:
@@ -490,15 +492,7 @@ def gen_remark_spikes(
     n = _check_depth(n)
     if u.is_zero():
         raise ValueError("u must be nonzero")
-    zero = u.space.zero()
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
-    times, values = [a], [zero]
-    _spike_block(a, b, zero, u, n, times, values)
-    times.append(b)
-    values.append(zero)
-    return DiscretePath(times, values, (a, b))
+    return _spike_train(interval, u.space.zero(), u, n)
 
 
 # ---------------------------------------------------------------------------

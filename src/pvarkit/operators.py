@@ -17,6 +17,7 @@ result is the plain pair loop's bit for bit.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -58,6 +59,14 @@ __all__ = [
 BOUND_TOL = 1e-9
 
 
+def _scalar_in(v: Vector, label: str) -> float:
+    if v.space.kind != "dense" or v.space.dim != 1:
+        raise DomainMismatch(
+            "%s acts on dense 1-dimensional vectors, got %s" % (label, v.space.to_json())
+        )
+    return float(v.data[0])
+
+
 class Generator:
     """Named pointwise map on vectors.
 
@@ -65,22 +74,20 @@ class Generator:
     vector; ``power`` and ``scalar_lipschitz`` act on dense one-dimensional
     vectors (the real line); ``l2_sup`` acts on finitely supported
     sequences; ``custom`` wraps an arbitrary pure callable and is the one
-    kind that cannot be serialized.
+    kind that cannot be serialized.  Each factory checks its arguments and
+    pairs its map with the JSON spec that ``from_json`` rebuilds it from.
     """
 
-    __slots__ = ("kind", "beta", "xs", "ys", "fn", "label")
+    __slots__ = ("label", "fn", "_spec")
 
-    def __init__(self, kind, beta=None, xs=None, ys=None, fn=None, label=None):
-        self.kind = kind
-        self.beta = beta
-        self.xs = xs
-        self.ys = ys
+    def __init__(self, label: str, fn: Callable[[Vector], Vector], spec: dict | None = None):
+        self.label = label
         self.fn = fn
-        self.label = label or kind
+        self._spec = spec
 
     @classmethod
     def identity(cls) -> "Generator":
-        return cls("identity")
+        return cls("identity", lambda v: v, {"name": "identity"})
 
     @classmethod
     def power(cls, beta: float) -> "Generator":
@@ -88,24 +95,37 @@ class Generator:
         beta = float(beta)
         if not 0.0 < beta <= 1.0:
             raise ValueError("power exponent must lie in (0, 1], got %r" % (beta,))
-        return cls("power", beta=beta, label="power(%g)" % beta)
+        label = "power(%g)" % beta
+
+        def fn(v):
+            t = _scalar_in(v, label)
+            out = math.copysign(abs(t) ** beta, t) if t != 0.0 else 0.0
+            return Vector(v.space, np.array([out]))
+
+        return cls(label, fn, {"name": "power", "beta": beta})
 
     @classmethod
     def scalar_lipschitz(cls, breakpoints: Sequence[Sequence[float]]) -> "Generator":
         """Piecewise-linear map of the real line from (x, y) breakpoints.
 
-        Breakpoints must have strictly increasing x; outside their range
-        the map clamps to the end values (slope zero), so the global
-        Lipschitz constant is the largest segment slope magnitude.
+        Breakpoints must be finite, with strictly increasing x; outside
+        their range the map clamps to the end values (slope zero), so the
+        global Lipschitz constant is the largest segment slope magnitude.
         """
-        pts = [(float(x), float(y)) for x, y in breakpoints]
+        pts = [[float(x), float(y)] for x, y in breakpoints]
         if len(pts) < 2:
             raise ValueError("need at least 2 breakpoints")
-        xs = np.array([x for x, _ in pts])
-        ys = np.array([y for _, y in pts])
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("breakpoints must be finite, got %r" % (pts,))
+        xs, ys = np.array(pts).T.copy()
         if not np.all(np.diff(xs) > 0):
             raise ValueError("breakpoint x values must be strictly increasing")
-        return cls("scalar_lipschitz", xs=xs, ys=ys, label="scalar_lipschitz")
+
+        def fn(v):
+            t = _scalar_in(v, "scalar_lipschitz")
+            return Vector(v.space, np.array([float(np.interp(t, xs, ys))]))
+
+        return cls("scalar_lipschitz", fn, {"name": "scalar_lipschitz", "breakpoints": pts})
 
     @classmethod
     def l2_sup(cls) -> "Generator":
@@ -114,35 +134,11 @@ class Generator:
         Off the support the coordinate is zero, so those indices contribute
         -n and the supremum over them is minus the smallest index missing
         from the support; the sup is therefore exact on finite supports.
-        All other output coordinates vanish.
+        All other output coordinates vanish.  An index beyond the float
+        range cannot be scored and raises :class:`DomainMismatch`.
         """
-        return cls("l2_sup")
 
-    @classmethod
-    def custom(cls, fn: Callable[[Vector], Vector], label: str = "custom") -> "Generator":
-        return cls("custom", fn=fn, label=label)
-
-    def _scalar_in(self, v: Vector) -> float:
-        if v.space.kind != "dense" or v.space.dim != 1:
-            raise DomainMismatch(
-                "%s acts on dense 1-dimensional vectors, got %s"
-                % (self.label, v.space.to_json())
-            )
-        return float(v.data[0])
-
-    def __call__(self, v: Vector) -> Vector:
-        if not isinstance(v, Vector):
-            raise DomainMismatch("generators act on Vector instances")
-        if self.kind == "identity":
-            return v
-        if self.kind == "power":
-            t = self._scalar_in(v)
-            out = math.copysign(abs(t) ** self.beta, t) if t != 0.0 else 0.0
-            return Vector(v.space, np.array([out]))
-        if self.kind == "scalar_lipschitz":
-            t = self._scalar_in(v)
-            return Vector(v.space, np.array([float(np.interp(t, self.xs, self.ys))]))
-        if self.kind == "l2_sup":
+        def fn(v):
             if v.space.kind != "sparse":
                 raise DomainMismatch(
                     "l2_sup acts on finitely supported sequences, got %s"
@@ -153,46 +149,54 @@ class Generator:
             while m in entries:
                 m += 1
             best = float(-m)
-            for idx, coord in entries.items():
-                best = max(best, idx * (2.0 * abs(coord) - 1.0))
+            try:
+                for idx, coord in entries.items():
+                    best = max(best, idx * (2.0 * abs(coord) - 1.0))
+            except OverflowError:
+                raise DomainMismatch(
+                    "l2_sup cannot score index %d, beyond the float range" % idx
+                ) from None
             return Vector(v.space, {1: best} if best != 0.0 else {})
+
+        return cls("l2_sup", fn, {"name": "l2_sup"})
+
+    @classmethod
+    def custom(cls, fn: Callable[[Vector], Vector], label: str = "custom") -> "Generator":
+        return cls(label, fn)
+
+    def __call__(self, v: Vector) -> Vector:
+        if not isinstance(v, Vector):
+            raise DomainMismatch("generators act on Vector instances")
         return self.fn(v)
 
     def to_json(self) -> dict:
-        if self.kind == "identity":
-            return {"name": "identity"}
-        if self.kind == "power":
-            return {"name": "power", "beta": self.beta}
-        if self.kind == "scalar_lipschitz":
-            return {
-                "name": "scalar_lipschitz",
-                "breakpoints": [[float(x), float(y)] for x, y in zip(self.xs, self.ys)],
-            }
-        if self.kind == "l2_sup":
-            return {"name": "l2_sup"}
-        raise ValueError("custom generators cannot be serialized")
+        if self._spec is None:
+            raise ValueError("custom generators cannot be serialized")
+        return copy.deepcopy(self._spec)
 
     @classmethod
     def from_json(cls, obj) -> "Generator":
         if not isinstance(obj, Mapping) or "name" not in obj:
             raise ValueError("generator must be an object with a 'name'")
         name = obj["name"]
-        if name == "identity":
-            return cls.identity()
-        if name == "power":
-            if "beta" not in obj:
-                raise ValueError("power generator needs 'beta'")
-            return cls.power(obj["beta"])
-        if name == "scalar_lipschitz":
-            if "breakpoints" not in obj:
-                raise ValueError("scalar_lipschitz generator needs 'breakpoints'")
-            return cls.scalar_lipschitz(obj["breakpoints"])
-        if name == "l2_sup":
-            return cls.l2_sup()
-        raise ValueError("unknown generator name %r" % (name,))
+        if not isinstance(name, str) or name not in _JSON_ARGS:
+            raise ValueError("unknown generator name %r" % (name,))
+        for key in _JSON_ARGS[name]:
+            if key not in obj:
+                raise ValueError("%s generator needs %r" % (name, key))
+        return getattr(cls, name)(*(obj[key] for key in _JSON_ARGS[name]))
 
     def __repr__(self):
         return "Generator(%s)" % self.label
+
+
+# each serializable kind: its factory's name and the JSON keys of its arguments
+_JSON_ARGS = {
+    "identity": (),
+    "power": ("beta",),
+    "scalar_lipschitz": ("breakpoints",),
+    "l2_sup": (),
+}
 
 
 def compose_path(f: Generator, path: DiscretePath) -> DiscretePath:

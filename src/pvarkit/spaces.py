@@ -59,9 +59,9 @@ _SMALL, _BIG = 2.0 ** -960, 2.0 ** 1000  # far inside the normal floats
 class NormKind:
     """Which norm the coordinates carry: l1, l2, linf, or a general lp.
 
-    The ``r`` field is meaningful only for the ``lp`` tag and must satisfy
-    r >= 1 (anything smaller fails the triangle inequality and is not a
-    norm).
+    The ``r`` field is meaningful only for the ``lp`` tag and must be a
+    finite r >= 1 (anything smaller fails the triangle inequality and is not
+    a norm; ``linf`` is the r = inf case).
     """
 
     tag: str
@@ -71,8 +71,8 @@ class NormKind:
         if self.tag not in _NORM_TAGS:
             raise ValueError("unknown norm tag %r" % (self.tag,))
         if self.tag == "lp":
-            if self.r is None or not float(self.r) >= 1.0:
-                raise ValueError("lp norm requires a real exponent r >= 1")
+            if self.r is None or not 1.0 <= float(self.r) < np.inf:
+                raise ValueError("lp norm requires a finite exponent r >= 1, got %r" % (self.r,))
             object.__setattr__(self, "r", float(self.r))
         elif self.r is not None:
             raise ValueError("norm %r takes no exponent" % (self.tag,))
@@ -124,8 +124,8 @@ class VectorSpace:
 
     def __post_init__(self):
         if self.kind == "dense":
-            if not isinstance(self.dim, int) or self.dim < 1:
-                raise ValueError("dense spaces need an integer dimension >= 1")
+            if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
+                raise ValueError("dense spaces need an integer dimension >= 1, got %r" % (self.dim,))
         elif self.kind == "sparse":
             if self.dim is not None:
                 raise ValueError("sparse spaces carry no dimension")
@@ -153,7 +153,7 @@ class VectorSpace:
         if kind == "dense":
             if "dim" not in obj:
                 raise ValueError("dense space needs 'dim'")
-            return cls("dense", norm_kind, int(obj["dim"]))
+            return cls("dense", norm_kind, obj["dim"])
         if kind == "sparse":
             if "dim" in obj:
                 raise ValueError("sparse space carries no 'dim'")

@@ -148,6 +148,72 @@ def test_bound_check_nan_image_is_invariant_violation(tmp_path, capsys, monkeypa
     assert "finite" in captured.err and "FAILS" not in captured.out
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_compose_non_finite_breakpoint_is_parse_error(tmp_path, capsys, bad):
+    _, doc = step_path_doc()
+    inp = write_json(tmp_path / "p.json", doc)
+    gen = write_json(
+        tmp_path / "g.json", {"name": "scalar_lipschitz", "breakpoints": [[0, 0], [1, bad]]}
+    )
+    out = tmp_path / "c.json"
+    assert main(["compose", "--input", inp, "--gen", gen, "--out", str(out)]) == EXIT_PARSE
+    assert "parse error: breakpoints must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def sparse_doc(entries):
+    return {
+        "interval": [0.0, 1.0],
+        "times": [0.0, 1.0],
+        "space": {"kind": "sparse", "norm": "l2"},
+        "values": [{"sparse": entries}, {"sparse": {}}],
+    }
+
+
+def test_compose_non_finite_image_is_invariant_violation(tmp_path, capsys):
+    # l2_sup scores index 2 at 2 (2e308 - 1): an infinite image
+    inp = write_json(tmp_path / "p.json", sparse_doc({"2": 1e308}))
+    gen = write_json(tmp_path / "g.json", {"name": "l2_sup"})
+    out = tmp_path / "c.json"
+    assert main(["compose", "--input", inp, "--gen", gen, "--out", str(out)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert "invariant violation: values must have finite coordinates" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_l2_sup_index_beyond_float_range_is_invariant_violation(tmp_path, capsys):
+    inp = write_json(tmp_path / "p.json", sparse_doc({str(10 ** 400): 0.5}))
+    gen = write_json(tmp_path / "g.json", {"name": "l2_sup"})
+    out = tmp_path / "c.json"
+    named = "l2_sup cannot score index %d," % 10 ** 400
+    assert main(["compose", "--input", inp, "--gen", gen, "--out", str(out)]) == EXIT_INVARIANT
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+    argv = ["bound-check", "--input", inp, "--gen", gen, "--p", "1", "--q", "2"]
+    assert main(argv) == EXIT_INVARIANT
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        ({"kind": "dense", "norm": {"lp": math.inf}, "dim": 1}, "finite exponent r >= 1"),
+        ({"kind": "dense", "norm": "l2", "dim": 2.5}, "integer dimension >= 1, got 2.5"),
+        ({"kind": "dense", "norm": "l2", "dim": True}, "integer dimension >= 1, got True"),
+        ({"kind": "dense", "norm": "l2", "dim": "3"}, "integer dimension >= 1, got '3'"),
+    ],
+    ids=["lp_inf", "dim_float", "dim_bool", "dim_str"],
+)
+def test_space_schema_errors_are_parse_errors(tmp_path, capsys, space, message):
+    _, doc = step_path_doc()
+    doc["space"] = space
+    inp = write_json(tmp_path / "p.json", doc)
+    out = tmp_path / "r.json"
+    assert main(["pvar", "--input", inp, "--p", "2", "--out", str(out)]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embedding_above_the_size_limit_is_invariant_violation(tmp_path, capsys, monkeypatch):
     # gen_example3(3) embeds 4 samples in 3 columns: 96 bytes
     monkeypatch.setattr(spaces, "MAX_EMBED_BYTES", 95)

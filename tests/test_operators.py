@@ -1,5 +1,6 @@
 """Generators, composition, Holder-constant estimation, and range covering."""
 
+import json
 import math
 
 import numpy as np
@@ -69,6 +70,11 @@ def test_scalar_lipschitz_generator():
         Generator.scalar_lipschitz([(0.0, 1.0)])
     with pytest.raises(ValueError):
         Generator.scalar_lipschitz([(0.0, 1.0), (0.0, 2.0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Generator.scalar_lipschitz([(0.0, 0.0), (1.0, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            Generator.scalar_lipschitz([(0.0, 0.0), (bad, 1.0)])
 
 
 def test_supremum_score_generator_on_basis_vectors():
@@ -78,6 +84,8 @@ def test_supremum_score_generator_on_basis_vectors():
         assert img == Vector.sparse({1: float(k)})
     with pytest.raises(DomainMismatch):
         f(Vector.dense([1.0]))
+    with pytest.raises(DomainMismatch, match="index %d," % 10 ** 400):
+        f(Vector.sparse({1: 0.5, 10 ** 400: 0.5}))
 
 
 def test_supremum_score_generator_floor():
@@ -94,10 +102,52 @@ def test_custom_generator_and_serialization_limits():
     assert f(v) == Vector.dense([3.0])
     with pytest.raises(ValueError):
         f.to_json()
-    for g in (Generator.identity(), Generator.power(0.25), Generator.l2_sup(),
-              Generator.scalar_lipschitz([(0.0, 0.0), (1.0, 1.0)])):
-        again = Generator.from_json(g.to_json())
-        assert again.to_json() == g.to_json()
+
+
+def image_bits(f, v):
+    """The image's exact bits, or the domain error's message."""
+    try:
+        img = f(v)
+    except DomainMismatch as exc:
+        return str(exc)
+    if img.space.kind == "dense":
+        return img.space, img.data.tobytes()
+    return img.space, sorted((i, c.hex()) for i, c in img.data.items())
+
+
+def test_json_generators_round_trip_bit_for_bit():
+    vectors = [Vector.dense([x]) for x in (0.0, -0.0, 0.3, -0.7, 1.5, -2.0, 5e-324, 1e300)]
+    vectors += [Vector.dense([0.5, -1.0]), Vector.sparse({}), Vector.sparse({1: 0.3, 4: -2.5})]
+    vectors += [Vector.sparse({2: 1e-300, 3: 0.5}, norm=LINF)]
+    for g in (
+        Generator.identity(),
+        Generator.power(0.25),
+        Generator.power(1.0),
+        Generator.scalar_lipschitz([(-1.0, 0.5), (0.0, -0.0), (0.25, 3.0), (2.0, -1.0)]),
+        Generator.l2_sup(),
+    ):
+        doc = g.to_json()
+        again = Generator.from_json(doc)
+        text = json.dumps(doc)  # keeps the sign of -0.0, which == would not
+        assert json.dumps(again.to_json()) == text and again.label == g.label
+        assert [image_bits(again, v) for v in vectors] == [image_bits(g, v) for v in vectors]
+        # the returned spec is the caller's copy: mutating it leaves g alone
+        images = [image_bits(g, v) for v in vectors]
+        doc["name"] = "power"
+        doc["beta"] = 0.5
+        for pt in doc.get("breakpoints", []):
+            pt[1] = 7.0
+        assert json.dumps(g.to_json()) == text
+        assert [image_bits(g, v) for v in vectors] == images
+
+
+def test_generator_json_errors():
+    with pytest.raises(ValueError, match="unknown generator name"):
+        Generator.from_json({"name": ["power"]})
+    with pytest.raises(ValueError, match="power generator needs 'beta'"):
+        Generator.from_json({"name": "power"})
+    with pytest.raises(ValueError, match="needs 'breakpoints'"):
+        Generator.from_json({"name": "scalar_lipschitz"})
 
 
 def test_compose_path_keeps_times_and_interval():

@@ -164,6 +164,11 @@ def test_json_rejects_malformed_payloads():
         VectorSpace.from_json({"kind": "dense", "norm": {"lp": 0.5}})
     with pytest.raises(ValueError):
         LP(0.99)
+    with pytest.raises(ValueError, match="finite exponent"):
+        LP(math.inf)  # linf is the r = inf norm
+    for dim in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="integer dimension"):
+            VectorSpace.from_json({"kind": "dense", "norm": "l2", "dim": dim})
 
 
 def test_coordinate_matrix_sparse_embedding():
