@@ -65,7 +65,7 @@ def _schema(build, *args):
         return build(*args)
     except PvarkitError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _ParseFailure(str(exc)) from exc
 
 
@@ -100,7 +100,7 @@ def _load_points(path: str) -> list[Vector]:
         if not isinstance(obj, dict) or "space" not in obj or "points" not in obj:
             raise ValueError("points file needs 'space' and 'points'")
         space = VectorSpace.from_json(obj["space"])
-        return [Vector.from_json(space, v) for v in obj["points"]]
+        return Vector.list_from_json(space, obj["points"])
 
     return _schema(build, obj)
 

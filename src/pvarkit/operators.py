@@ -36,6 +36,7 @@ from .spaces import (
     _POW_ULPS,
     _SMALL,
     Vector,
+    _check_numbers,
     _distance_error,
     _trusted_range,
     block_buffer,
@@ -92,6 +93,7 @@ class Generator:
     @classmethod
     def power(cls, beta: float) -> "Generator":
         """t -> sign(t) |t|^beta on the real line, 0 < beta <= 1."""
+        _check_numbers([beta], "power exponent")
         beta = float(beta)
         if not 0.0 < beta <= 1.0:
             raise ValueError("power exponent must lie in (0, 1], got %r" % (beta,))
@@ -112,7 +114,9 @@ class Generator:
         their range the map clamps to the end values (slope zero), so the
         global Lipschitz constant is the largest segment slope magnitude.
         """
-        pts = [[float(x), float(y)] for x, y in breakpoints]
+        pts = [[x, y] for x, y in breakpoints]
+        _check_numbers([c for pt in pts for c in pt], "breakpoints")
+        pts = [[float(x), float(y)] for x, y in pts]
         if len(pts) < 2:
             raise ValueError("need at least 2 breakpoints")
         if not np.all(np.isfinite(pts)):

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NotASampleTime, PathInvariantError
-from .spaces import Vector, VectorSpace, _one_per_space, coordinate_matrix
+from .spaces import Vector, VectorSpace, _check_numbers, _one_per_space, coordinate_matrix
 
 __all__ = ["DiscretePath", "MAX_SAMPLES"]
 
@@ -124,8 +124,10 @@ class DiscretePath:
         interval = obj["interval"]
         if not isinstance(interval, Sequence) or len(interval) != 2:
             raise ValueError("interval must be [a, b]")
+        _check_numbers(interval, "interval")
+        _check_numbers(obj["times"], "times")
         space = VectorSpace.from_json(obj["space"])
-        values = [Vector.from_json(space, v) for v in obj["values"]]
+        values = Vector.list_from_json(space, obj["values"])
         return cls(obj["times"], values, (float(interval[0]), float(interval[1])))
 
     def __repr__(self):

@@ -71,9 +71,10 @@ class NormKind:
         if self.tag not in _NORM_TAGS:
             raise ValueError("unknown norm tag %r" % (self.tag,))
         if self.tag == "lp":
-            if self.r is None or not 1.0 <= float(self.r) < np.inf:
-                raise ValueError("lp norm requires a finite exponent r >= 1, got %r" % (self.r,))
+            _check_numbers([self.r], "lp exponent")
             object.__setattr__(self, "r", float(self.r))
+            if not 1.0 <= self.r < np.inf:
+                raise ValueError("lp norm requires a finite exponent r >= 1, got %r" % (self.r,))
         elif self.r is not None:
             raise ValueError("norm %r takes no exponent" % (self.tag,))
 
@@ -89,7 +90,7 @@ class NormKind:
                 raise ValueError("unknown norm %r" % (obj,))
             return cls(obj)
         if isinstance(obj, Mapping) and set(obj) == {"lp"}:
-            return cls("lp", float(obj["lp"]))
+            return cls("lp", obj["lp"])
         raise ValueError("norm must be 'l1', 'l2', 'linf' or {'lp': r}")
 
 
@@ -263,30 +264,34 @@ class Vector:
 
     @classmethod
     def from_json(cls, space: VectorSpace, obj) -> "Vector":
-        if not isinstance(obj, Mapping) or len(obj) != 1:
-            raise ValueError("vector must be {'dense': [...]} or {'sparse': {...}}")
-        if "dense" in obj:
-            if space.kind != "dense":
-                raise ValueError("dense vector in a sparse space")
-            coords = obj["dense"]
-            if len(coords) != space.dim:
-                raise ValueError(
-                    "dense vector has %d coordinates, space has dim %d"
-                    % (len(coords), space.dim)
-                )
-            # the file's one space object, which path checks compare once
-            return cls(space, _dense_data(coords))
-        if "sparse" in obj:
-            if space.kind != "sparse":
-                raise ValueError("sparse vector in a dense space")
-            entries = {}
-            for key, coord in obj["sparse"].items():
-                idx = int(key)
-                if str(idx) != key or idx < 1:
-                    raise ValueError("sparse index keys are positive integers, got %r" % (key,))
-                entries[idx] = float(coord)
-            return cls(space, _sparse_data(entries))
-        raise ValueError("vector must be {'dense': [...]} or {'sparse': {...}}")
+        return cls.list_from_json(space, [obj])[0]
+
+    @classmethod
+    def list_from_json(cls, space: VectorSpace, objs) -> list["Vector"]:
+        """Vectors of ``space`` from their JSON objects, all sharing ``space``.
+
+        Dense coordinates are read into one matrix and checked once; each
+        vector is a read-only row of it.
+        """
+        items = []
+        for obj in objs:
+            if not isinstance(obj, Mapping) or len(obj) != 1 or obj.keys() - {"dense", "sparse"}:
+                raise ValueError("vector must be {'dense': [...]} or {'sparse': {...}}")
+            if space.kind not in obj:
+                raise ValueError("%s vector in a %s space" % (next(iter(obj)), space.kind))
+            items.append(obj[space.kind])
+        if space.kind == "sparse":
+            return [cls(space, _sparse_json(item)) for item in items]
+        if set(map(len, items)) - {space.dim}:
+            bad = next(len(c) for c in items if len(c) != space.dim)
+            raise ValueError(
+                "dense vector has %d coordinates, space has dim %d" % (bad, space.dim)
+            )
+        _check_numbers(chain.from_iterable(items), "coordinates")
+        mat = np.array(items, dtype=float).reshape(len(items), space.dim)
+        if not np.isfinite(mat).all():
+            raise ValueError("coordinates must be finite")
+        return [cls(space, row) for row in mat]
 
 
 def _dense_data(coords: Sequence[float]) -> np.ndarray:
@@ -296,6 +301,24 @@ def _dense_data(coords: Sequence[float]) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("coordinates must be finite")
     return arr
+
+
+def _check_numbers(values, what: str) -> None:
+    """Refuse any value but an int or a float that is not a bool: JSON's numbers."""
+    for t in set(map(type, values)):
+        if issubclass(t, bool) or not issubclass(t, (int, float)):
+            raise ValueError("%s: expected a number, got %s" % (what, t.__name__))
+
+
+def _sparse_json(item: Mapping) -> dict:
+    entries = {}
+    for key, coord in item.items():
+        idx = int(key)
+        if str(idx) != key or idx < 1:
+            raise ValueError("sparse index keys are positive integers, got %r" % (key,))
+        entries[idx] = coord
+    _check_numbers(entries.values(), "coordinates")
+    return _sparse_data(entries)
 
 
 def _sparse_data(entries: Mapping[int, float]) -> dict:
@@ -431,11 +454,40 @@ def row_distances(
 
 def _block_distances(rows, x, kind, buf, index, a, b) -> np.ndarray:
     if index is None:
+        if rows.shape[1] < 8:
+            return _column_distances(rows[a:b], x, kind, buf.reshape(-1)[: b - a])
         diff = np.subtract(rows[a:b], x, out=buf[: b - a])
     else:  # the indices are valid, so "clip" only spares a buffered copy
         diff = np.take(rows, index[a:b], axis=0, out=buf[: b - a], mode="clip")
         np.subtract(diff, x, out=diff)
     return _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+
+
+def _column_distances(rows, x, kind, tmp) -> np.ndarray:
+    """``_block_distances`` of fewer than 8 columns, a column at a time.
+
+    numpy sums a row of fewer than 8 terms left to right, as this loop
+    does, so each distance keeps the bits of the row reduction without its
+    per-row cost; from 8 terms on it pairs them up in another order.
+    Gathered rows keep the row reduction: few rows are gathered at a time,
+    and there one call per column costs more than the reduction.
+    """
+    out = np.zeros(rows.shape[0])  # the distance over no columns
+    for j, xj in enumerate(x.tolist()):
+        d = np.subtract(rows[:, j], xj, out=out if j == 0 else tmp)
+        if kind.tag == "l2":
+            np.multiply(d, d, out=d)  # |d| squared
+        else:
+            np.abs(d, out=d)
+            if kind.tag == "lp":
+                d **= kind.r
+        if j:
+            (np.maximum if kind.tag == "linf" else np.add)(out, d, out=out)
+    if kind.tag == "l2":
+        np.sqrt(out, out=out)
+    elif kind.tag == "lp":
+        out **= 1.0 / kind.r
+    return out
 
 
 def _trusted_range(kind: NormKind, cols: int) -> tuple[float, float]:

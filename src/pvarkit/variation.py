@@ -59,16 +59,16 @@ TABLE_MAX_VALUES = 64
 # Tables of distinct values that pvar prunes.  Pruning adds some 40 us of
 # numpy calls and a dozen passes over the k values to every step, so it
 # pays only where the full scan's differencing costs more: on tables of at
-# least PRUNE_MIN_VALUES values and PRUNE_MIN_COLS columns whose work,
-# k (cols + 16), is PRUNE_MIN_WORK or more.  To the full scan a row of two
-# or more columns costs about as much as 16 more columns (the overhead of
-# its reduction); one column needs no reduction, and there pruning never
-# won.  Timed on 2 vCPUs over walks and noise at p = 1 and 2: one-column
-# paths ran 2-5x slower pruned up to 6,000 samples and 0.9-2x the time at
-# 40,000; tables below the gate up to 7x slower (50 values) or 1.7x
-# (256 x 128, 1,000 x 8); tables at or above it from 1.2x slower
-# (512 x 128) to 7x faster (16,384 x 2), and sup-normed example 3 paths of
-# 1,000 samples or more 6-30x faster.
+# least PRUNE_MIN_VALUES values and PRUNE_MIN_COLS columns whose work is
+# PRUNE_MIN_WORK or more.  The work is k (cols + 16) where the full scan
+# reduces each row, which costs about 16 more columns (8 columns or more),
+# and for lp norms, whose power per coordinate dominates; it is k 3 (cols
+# - 1) where l1, l2 and linf rows are taken a column at a time.  Timed on 2
+# vCPUs over walks and noise at p = 1, 2 and 3, the full scan ran 0.3-0.8x
+# pruning's time on 6,000 samples of 2-5 columns, 0.4-1.0x on 20,000 of 2
+# and 0.5-1.35x on 40,000 of 2; lp tables of 6,000 or more ran 0.8-6x,
+# wide ones below the gate up to 7x faster (50 values) or 1.7x (1,000 x 8),
+# and sup-normed example 3 paths of 1,000 samples or more 6-30x slower.
 PRUNE_MIN_COLS = 2
 PRUNE_MIN_VALUES = 256
 PRUNE_MIN_WORK = 1 << 16
@@ -222,9 +222,11 @@ def _scan_dp(codes: Sequence[int], rows: np.ndarray, kind, p: float, buf: np.nda
     link = np.full(s, -1)  # see _first_reaching
     best = np.zeros(s)
     pred = np.zeros(s, dtype=np.int64)
-    work = k * (cols + 16)  # see PRUNE_MIN_WORK
+    work = k * (cols + 16 if cols >= 8 or kind.tag == "lp" else 3 * (cols - 1))
     prune = cols >= PRUNE_MIN_COLS and k >= PRUNE_MIN_VALUES and work >= PRUNE_MIN_WORK
     bound = _DistanceBound(rows, kind, p, buf) if prune else None
+    if bound is None and cols < 8:  # the kernel scans narrow tables by column
+        rows = np.asfortranarray(rows)
     live = None  # the values scanned this step, when not all of them
     seen = 1
     for i in range(1, s):

@@ -214,6 +214,69 @@ def test_space_schema_errors_are_parse_errors(tmp_path, capsys, space, message):
     assert not out.exists()
 
 
+def sparse_step_doc():
+    doc = sparse_doc({"1": 0.5})
+    doc["values"][1]["sparse"] = {"2": 1.0}
+    return doc
+
+
+def set_path_field(doc, field, bad):
+    if field == "interval":
+        doc["interval"][1] = bad
+    elif field == "times":
+        doc["times"][1] = bad
+    elif field == "dense":
+        doc["values"][1]["dense"][0] = bad
+    elif field == "sparse":
+        doc["values"][0]["sparse"]["1"] = bad
+    else:
+        doc["space"]["norm"] = {"lp": bad}
+    return doc
+
+
+@pytest.mark.parametrize("bad", ["1", True, None, [1.0]], ids=["str", "bool", "null", "list"])
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("interval", "interval: expected a number"),
+        ("times", "times: expected a number"),
+        ("dense", "coordinates: expected a number"),
+        ("sparse", "coordinates: expected a number"),
+        ("lp", "lp exponent: expected a number"),
+    ],
+)
+def test_path_fields_must_be_json_numbers(tmp_path, capsys, field, message, bad):
+    doc = sparse_step_doc() if field == "sparse" else step_path_doc()[1]
+    inp = write_json(tmp_path / "p.json", set_path_field(doc, field, bad))
+    out = tmp_path / "r.json"
+    assert main(["pvar", "--input", inp, "--p", "2", "--out", str(out)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "parse error: %s, got %s" % (message, type(bad).__name__) in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None], ids=["str", "bool", "null"])
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        ({"name": "power", "beta": "BAD"}, "power exponent: expected a number"),
+        ({"name": "scalar_lipschitz", "breakpoints": [[0, 0], [1, "BAD"]]}, "breakpoints: expected a number"),
+    ],
+    ids=["power", "scalar_lipschitz"],
+)
+def test_generator_arguments_must_be_json_numbers(tmp_path, capsys, gen, message, bad):
+    inp = write_json(tmp_path / "p.json", step_path_doc()[1])
+    text = json.dumps(gen).replace('"BAD"', json.dumps(bad))
+    gen_file = tmp_path / "g.json"
+    gen_file.write_text(text)
+    out = tmp_path / "c.json"
+    argv = ["compose", "--input", inp, "--gen", str(gen_file), "--out", str(out)]
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "parse error: %s, got %s" % (message, type(bad).__name__) in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_embedding_above_the_size_limit_is_invariant_violation(tmp_path, capsys, monkeypatch):
     # gen_example3(3) embeds 4 samples in 3 columns: 96 bytes
     monkeypatch.setattr(spaces, "MAX_EMBED_BYTES", 95)

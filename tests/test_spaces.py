@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvarkit import spaces
 from pvarkit.errors import SpaceMismatch
 from pvarkit.spaces import (
     L1,
@@ -214,3 +215,49 @@ def test_row_distances_of_indexed_rows(kind, rng):
         buf = np.empty((rows, 12))
         assert np.array_equal(row_distances(table, x, kind, buf, index), full[index])
         assert np.array_equal(row_distances(table, x, kind, buf), full)
+
+
+# both zeros, a subnormal-scale pair, squares and powers that overflow, and
+# differences that overflow
+POOL = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.5e308, -1.5e308]
+
+
+def row_reduction(table, x, kind):
+    return spaces._reduce_abs(np.abs(table - x), kind, axis=1)
+
+
+@pytest.mark.parametrize("kind", NORMS)
+@pytest.mark.parametrize("cols", range(1, 8))
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_narrow_distances_keep_the_row_reduction_bits(kind, cols):
+    rng = np.random.default_rng(cols)
+    table = rng.standard_normal((60, cols)) * 10.0 ** rng.integers(-200, 200, (60, cols))
+    picked = rng.random((60, cols)) < 0.3
+    table[picked] = rng.choice(POOL, picked.sum())
+    index = rng.permutation(60)[:23]
+    for x in table[::7]:
+        expected = row_reduction(table, x, kind).view(np.int64)
+        for laid_out in (table, np.asfortranarray(table)):
+            for rows in (1, 3, 16, 60):  # buffers of that many rows: blocks split
+                buf = np.empty((rows, cols))
+                got = row_distances(laid_out, x, kind, buf)
+                assert np.array_equal(got.view(np.int64), expected)
+                got = row_distances(laid_out, x, kind, buf, index)
+                assert np.array_equal(got.view(np.int64), expected[index])
+
+
+def test_eight_columns_keep_the_row_reduction():
+    # from 8 terms numpy's sum pairs them up: a left-to-right sum over the
+    # columns differs, so the column-wise kernel stops below 8 columns
+    rng = np.random.default_rng(8)
+    table = rng.standard_normal((200, 8)) * 10.0 ** rng.integers(-3, 4, (200, 8))
+    x = table[0]
+    terms = np.abs(table - x)
+    left_to_right = terms[:, 0].copy()
+    for j in range(1, 8):
+        left_to_right += terms[:, j]
+    expected = row_reduction(table, x, L1)
+    assert np.any(left_to_right != expected)
+    for laid_out in (table, np.asfortranarray(table)):
+        got = row_distances(laid_out, x, L1, block_buffer(200, 8))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))

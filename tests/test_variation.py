@@ -262,7 +262,7 @@ def repeating_paths(draw, max_increments=16, extremes=False):
 
     With ``extremes``, half the coordinates come from ``EXTREMES``.
     """
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 7))  # below 8: the column-wise distance kernel
     coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     if extremes:
         coord = st.one_of(coord, st.sampled_from(EXTREMES))
@@ -470,12 +470,26 @@ def test_distance_bounds_stay_above_computed_distances(kind, monkeypatch):
     assert len(scored) == 2 * 79 and sum(scored) < 79 * 80  # p = 2 was pruned
 
 
-def test_single_column_tables_take_the_full_scan(monkeypatch):
-    # however large, a one-column table is differenced in full each step:
-    # there the pruned route's passes over the bounds cost as much as that
-    path = scalar_path(np.cumsum(np.random.default_rng(5).standard_normal(400)).tolist())
-    monkeypatch.setattr(variation, "PRUNE_MIN_VALUES", 0)
-    monkeypatch.setattr(variation, "PRUNE_MIN_WORK", 0)
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_narrow_walks_take_the_full_scan(cols, monkeypatch):
+    # 6,000-sample l2 walks: the column-wise kernel scans every value faster
+    # than pruning passes over their bounds; one column never prunes at all
+    walk = np.cumsum(np.random.default_rng(cols).standard_normal((6000, cols)), axis=0)
+    path = DiscretePath(np.linspace(0.0, 1.0, 6000), [Vector.dense(r) for r in walk])
+    with pruned_route(block_bytes=spaces.BLOCK_BYTES):
+        pruned = pvar(path, 2.0)
+    if cols == 1:
+        monkeypatch.setattr(variation, "PRUNE_MIN_VALUES", 0)
+        monkeypatch.setattr(variation, "PRUNE_MIN_WORK", 0)
     monkeypatch.setattr(variation, "_DistanceBound", None)  # fails if built
+    res = pvar(path, 2.0)
+    assert (res.value.hex(), res.partition) == (pruned.value.hex(), pruned.partition)
+
+
+def test_wide_example3_paths_still_prune(monkeypatch):
+    # 1,501 samples in 1,500 sup-normed columns: a few rows scored per step
+    path = gen_example3(1500)
+    rows = counted_rows(monkeypatch)
     res = pvar(path, 1.0)
-    assert (res.value, res.partition) == reference_pvar(path, 1.0)
+    assert sum(rows) <= 3 * len(path)
+    assert res.value == partition_sum(path, res.partition, 1.0)
