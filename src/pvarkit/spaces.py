@@ -37,6 +37,7 @@ __all__ = [
     "row_norms",
     "block_buffer",
     "row_distances",
+    "panel_distances",
     "MAX_EMBED_BYTES",
 ]
 
@@ -311,6 +312,8 @@ def _check_numbers(values, what: str) -> None:
 
 
 def _sparse_json(item: Mapping) -> dict:
+    if not isinstance(item, Mapping):
+        raise ValueError("sparse vector: expected an object, got %s" % type(item).__name__)
     entries = {}
     for key, coord in item.items():
         idx = int(key)
@@ -455,7 +458,7 @@ def row_distances(
 def _block_distances(rows, x, kind, buf, index, a, b) -> np.ndarray:
     if index is None:
         if rows.shape[1] < 8:
-            return _column_distances(rows[a:b], x, kind, buf.reshape(-1)[: b - a])
+            return panel_distances(rows[a:b], x, kind, buf)
         diff = np.subtract(rows[a:b], x, out=buf[: b - a])
     else:  # the indices are valid, so "clip" only spares a buffered copy
         diff = np.take(rows, index[a:b], axis=0, out=buf[: b - a], mode="clip")
@@ -463,17 +466,18 @@ def _block_distances(rows, x, kind, buf, index, a, b) -> np.ndarray:
     return _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
 
 
-def _column_distances(rows, x, kind, tmp) -> np.ndarray:
-    """``_block_distances`` of fewer than 8 columns, a column at a time.
+def panel_distances(rows: np.ndarray, x: np.ndarray, kind: NormKind, buf) -> np.ndarray:
+    """Norm of ``rows[k] - x`` for every row k of fewer than 8 columns.
 
-    numpy sums a row of fewer than 8 terms left to right, as this loop
-    does, so each distance keeps the bits of the row reduction without its
-    per-row cost; from 8 terms on it pairs them up in another order.
-    Gathered rows keep the row reduction: few rows are gathered at a time,
-    and there one call per column costs more than the reduction.
-    """
-    out = np.zeros(rows.shape[0])  # the distance over no columns
-    for j, xj in enumerate(x.tolist()):
+    ``x`` is a point, or a stack of them whose distances come out a row each
+    with the same bits; ``buf`` holds the result.  numpy sums a row of fewer
+    than 8 terms left to right, as this loop over columns does, so each
+    distance keeps the row reduction's bits without its per-row cost; from 8
+    terms on it pairs them up in another order.  Gathered rows, a few at a
+    time, keep the row reduction: one call per column costs more there."""
+    out = np.zeros(x.shape[:-1] + rows.shape[:1])  # the distance over no columns
+    tmp = buf.reshape(-1)[: out.size].reshape(out.shape) if x.shape[-1] > 1 else None
+    for j, xj in enumerate(x.T[..., None] if x.ndim > 1 else x.tolist()):
         d = np.subtract(rows[:, j], xj, out=out if j == 0 else tmp)
         if kind.tag == "l2":
             np.multiply(d, d, out=d)  # |d| squared

@@ -4,23 +4,26 @@
 subsequences of the sample indices with a dynamic program that groups
 predecessors by value, at O(n k d) cost for n samples, k distinct values
 and d coordinates, by one of three routes with the same result bit for
-bit: few values read their k x k table of powered distances in plain
-Python, large tables of two or more columns score only the values that
-triangle-inequality bounds cannot rule out of a step, and the rest take
-the full scan over every value seen.  ``pvar_bruteforce`` enumerates
-every subsequence literally and exists as an independent oracle for the
-engine, guarded to small paths.  Tests hold the two to bit-for-bit
-agreement.
+bit: tables of at most 64 values read their table of powered distances in
+Python floats, the rest take batches of steps through distance panels if
+narrower than 8 columns, else a scan over the values seen that skips, on
+large tables, those triangle inequalities rule out.  ``pvar_bruteforce``
+enumerates every subsequence literally and exists as an independent
+oracle for the engine, guarded to small paths.  Tests hold the two to
+bit-for-bit agreement.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add
 from typing import Sequence
 
 import numpy as np
 
+from . import spaces
 from .errors import InvalidExponent, TooLarge
 from .paths import DiscretePath
 from .spaces import (
@@ -32,6 +35,7 @@ from .spaces import (
     block_buffer,
     diff_norm,
     norm as vector_norm,
+    panel_distances,
     row_distances,
     row_norms,
 )
@@ -56,20 +60,14 @@ BRUTEFORCE_LIMIT = 20  # increments, i.e. 2^(n-1) candidate subsequences
 # values ran 1.0x at 16 and 1.4x at 64 (0.53 ms against 0.39 ms).
 TABLE_MAX_VALUES = 64
 
-# Tables of distinct values that pvar prunes.  Pruning adds some 40 us of
-# numpy calls and a dozen passes over the k values to every step, so it
-# pays only where the full scan's differencing costs more: on tables of at
-# least PRUNE_MIN_VALUES values and PRUNE_MIN_COLS columns whose work is
-# PRUNE_MIN_WORK or more.  The work is k (cols + 16) where the full scan
-# reduces each row, which costs about 16 more columns (8 columns or more),
-# and for lp norms, whose power per coordinate dominates; it is k 3 (cols
-# - 1) where l1, l2 and linf rows are taken a column at a time.  Timed on 2
-# vCPUs over walks and noise at p = 1, 2 and 3, the full scan ran 0.3-0.8x
-# pruning's time on 6,000 samples of 2-5 columns, 0.4-1.0x on 20,000 of 2
-# and 0.5-1.35x on 40,000 of 2; lp tables of 6,000 or more ran 0.8-6x,
-# wide ones below the gate up to 7x faster (50 values) or 1.7x (1,000 x 8),
-# and sup-normed example 3 paths of 1,000 samples or more 6-30x slower.
-PRUNE_MIN_COLS = 2
+BATCH_STEPS = 32  # steps to a batch of the batched route: 16 and 64 ran slower
+
+# The full scan prunes tables of PRUNE_MIN_VALUES values and k (cols + 16)
+# >= PRUNE_MIN_WORK, + 16 being the row reduction's cost in columns: on 2
+# vCPUs, wide tables below ran up to 7x faster unpruned (50 x 8) or 1.7x
+# (1,000 x 8), and sup-normed example 3 paths of 1,000 or more 6-30x slower.
+# The batched route bounds blocks once PRUNE_MIN_VALUES values are seen;
+# before, its bounds cost more than they save (0.6-0.9x the time at 250).
 PRUNE_MIN_VALUES = 256
 PRUNE_MIN_WORK = 1 << 16
 
@@ -142,31 +140,20 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     best V of each: O(n k d) for k distinct values.  Ties go to the
     smallest predecessor index, so the output is deterministic.
 
-    Tables of at most ``TABLE_MAX_VALUES`` distinct values power each
-    value's distances to all values once, with the full scan's kernel, and
-    add them in Python floats, whose + is numpy's; array ``**`` gives each
-    element the same bits at every length and offset.
-
-    On large tables of distinct values (``PRUNE_MIN_COLS``,
-    ``PRUNE_MIN_VALUES`` and ``PRUNE_MIN_WORK``), each value also carries an
-    upper bound on its computed distance to the current sample, moved on
-    by the triangle inequality and widened by the rounding error of the
-    norms.  A value whose candidate V + d^p is certified to fall strictly
-    below the previous value's candidate cannot be, or tie, the step's
-    maximum, so only the others are differenced; value and partition are
-    those of the full scan, bit for bit.
-    """
+    Three routes give the same value and partition bit for bit.  Tables of
+    at most ``TABLE_MAX_VALUES`` values power each value's distances to all
+    once and add them in Python floats, whose + is numpy's; array ``**``
+    gives each element the same bits at every length and offset.  Larger
+    tables of fewer than 8 columns take ``_batched_dp``: ``BATCH_STEPS``
+    steps at a time, scored through distance panels, skip blocks of values
+    certified below each step's maximum.  Wider tables take the full scan,
+    which on large ones differences only values ``_DistanceBound`` does not
+    certify strictly below the previous value's candidate."""
     p = _check_exponent(p)
-    mat = path.coordinate_matrix()
-    kind = path.space.norm
-    codes, rows = _distinct_rows(mat)
+    codes, rows = _distinct_rows(path.coordinate_matrix())
     k, cols = rows.shape
-    buf = block_buffer(k, cols)  # reused by every step
-    if k <= TABLE_MAX_VALUES:
-        table = [(row_distances(rows, x, kind, buf) ** p).tolist() for x in rows]
-        best, pred = _table_dp(codes, table)
-    else:
-        best, pred = _scan_dp(codes, rows, kind, p, buf)
+    route = _table_dp if k <= TABLE_MAX_VALUES else _batched_dp if cols < 8 else _scan_dp
+    best, pred = route(codes, rows, path.space.norm, p)
     partition = [len(codes) - 1]
     while partition[-1] != 0:
         partition.append(int(pred[partition[-1]]))
@@ -185,8 +172,10 @@ def _first_reaching(r: int, g: float, v: float, link, best) -> int:
     return r
 
 
-def _table_dp(codes: Sequence[int], table: list[list[float]]):
+def _table_dp(codes: Sequence[int], rows: np.ndarray, kind, p: float):
     """``_scan_dp`` in Python floats over table[c][t] = d(value t, value c)^p."""
+    buf = block_buffer(*rows.shape)
+    table = [(row_distances(rows, x, kind, buf) ** p).tolist() for x in rows]
     s = len(codes)
     top, arg = [0.0], [0]  # best V and its smallest index, per value seen
     link, best, pred = [-1] * s, [0.0] * s, [0] * s
@@ -213,20 +202,122 @@ def _table_dp(codes: Sequence[int], table: list[list[float]]):
     return best, pred
 
 
-def _scan_dp(codes: Sequence[int], rows: np.ndarray, kind, p: float, buf: np.ndarray):
+def _batched_dp(codes: Sequence[int], rows: np.ndarray, kind, p: float):
+    """The DP on tables of fewer than 8 columns, ``BATCH_STEPS`` steps at a time.
+
+    Blocks of consecutive codes (values first seen close together) center on
+    their first.  Distances from a batch's samples to the seen centers and
+    the last sample's value give each step a floor (a candidate with V as the
+    batch began: V only rises) and bounds on each block's candidates.  W, the
+    samples' values, are scored per step in Python floats; one panel scores
+    the seen values of blocks not certified below every step's floor, W's
+    with the V they had as it began, never above their current candidates."""
+    s, (k, cols), steps, repeats = len(codes), rows.shape, BATCH_STEPS, len(rows) < len(codes)
+    factors, size = _bound_factors(kind, cols), _block_size(k)
+    radius = _block_radii(rows, kind, size, factors)
+    table = rows.T.copy()  # a column a row: a gather takes every column at once
+    src = np.arange(-size, k, size)  # the previous sample's value, then the centers
+    chunk = max(1, spaces.BLOCK_BYTES // (8 * steps))  # static values to a panel
+    buf = np.empty(steps * max(min(chunk, k), len(src), steps))
+    at, top, btop = np.asarray(codes), np.zeros(k), np.zeros(len(radius))  # V per value, block
+    arg, link, best, pred = [0] * k, [-1] * s, [0.0] * s, [0] * s  # see _scan_dp
+    seen = 1
+    for i0 in range(1, s, steps):
+        batch = at[i0 : i0 + steps]
+        order = batch.tolist()
+        W = sorted(set(order)) if repeats else order
+        w_at, pts = np.array(W), rows[batch]
+        idx = np.arange(seen)
+        if seen >= PRUNE_MIN_VALUES:  # below, bounds cost more than they save
+            nb = (seen - 1) // size + 1  # the blocks with a seen value
+            src[0] = at[i0 - 1]
+            dist = panel_distances(table[:, src[: nb + 1]].T, pts, kind, buf)
+            with np.errstate(over="ignore"):
+                floor = (dist ** p + top[src[: nb + 1]]).max(axis=1)[:, None]
+            kept = _block_bounds(dist[:, 1:], radius[:nb], btop[:nb], p, factors) >= floor
+            idx = (kept.any(axis=0).nonzero()[0][:, None] * size + np.arange(size)).ravel()
+            idx = idx[idx < seen]
+        vs, vt, vg, vc = _static_best(table, idx, pts, kind, p, top, buf, chunk)
+        gw = (panel_distances(table[:, w_at].T, pts, kind, buf) ** p).tolist()
+        wtop = top[w_at].tolist()
+        for q, c in enumerate(order):
+            i, g = i0 + q, gw[q]
+            # static values first: without repeats, code order is index order
+            cand = [vs[q], *map(add, wtop[: bisect_left(W, seen)], g)]
+            v = max(cand)
+            t = cand.index(v)
+            u, gu = (vt[q], vg[q]) if t == 0 else (W[t - 1], g[t - 1])  # the first maximum
+            j = _first_reaching(arg[u], gu, v, link, best)
+            if repeats and (cand.count(v) > 1 or t == 0 < vc[q] - 1):  # find every tie
+                hits = [(W[u - 1], g[u - 1]) for u in range(1, len(cand)) if cand[u] == v]
+                if t == 0:
+                    gain = row_distances(rows, pts[q], kind, block_buffer(len(idx), cols), idx) ** p
+                    tie = gain + top[idx] == v
+                    hits += zip(idx[tie].tolist(), gain[tie].tolist())
+                j = min(_first_reaching(arg[u], gu, v, link, best) for u, gu in hits)
+            best[i], pred[i], w = v, j, bisect_left(W, c)
+            if c == seen or v > wtop[w]:  # a new value, or a better V for one
+                link[i] = arg[c] if c < seen else -1
+                seen, wtop[w], arg[c] = max(seen, c + 1), v, i
+        top[w_at] = wtop
+        np.maximum.at(btop, w_at // size, wtop)
+    return best, pred
+
+
+def _block_radii(rows, kind, size: int, factors) -> np.ndarray:
+    """Each block's largest computed distance to its center, or inf if untrusted."""
+    at, step = np.arange(len(rows)), spaces.BLOCK_BYTES // (8 * rows.shape[1]) + 1
+    lead, starts = at - at % size, at[::size]  # each value's center, each block's
+    d = np.concatenate([row_norms(rows[a : a + step] - rows[lead[a : a + step]], kind)
+                        for a in at[::step]])
+    ok = (d >= factors[0]) & (d <= factors[1]) | (lead == at)
+    return np.where(np.logical_and.reduceat(ok, starts), np.maximum.reduceat(d, starts), np.inf)
+
+
+def _block_bounds(dist, radius, btop, p: float, factors) -> np.ndarray:
+    """Bounds, a step a row, on the candidates of each block from ``dist``,
+    the steps' distances to the centers: as ``_DistanceBound`` argues, a
+    member's is below (dist + radius) grow in the trusted range, else inf."""
+    lo, hi, grow, lift = factors
+    with np.errstate(over="ignore"):  # an infinite bound rules nothing out
+        d = np.where((dist >= lo) & (dist <= hi), dist + radius, np.inf) * grow
+        g = d ** p
+        ub = g * lift + btop
+    ub[(g < _SMALL) | (d < lo) | (d > hi)] = np.inf
+    return ub
+
+
+def _static_best(table, idx, pts, kind, p: float, top, buf, chunk: int):
+    """Per step, the largest candidate over the values ``idx``, the first
+    reaching it, its gain and how many reach it."""
+    steps, v, t, g, c = np.arange(len(pts)), np.full(len(pts), -np.inf), None, None, None
+    for a in range(0, len(idx), chunk):
+        sub = idx[a : a + chunk]
+        gain = panel_distances(table[:, sub].T, pts, kind, buf) ** p
+        cand = gain + top[sub]
+        first = cand.argmax(axis=1)
+        most, code, gain = cand[steps, first], sub[first], gain[steps, first]
+        tied = (cand == most[:, None]).sum(axis=1)
+        if a:  # an earlier chunk reaching the maximum comes first
+            more, tied = most > v, tied * (most >= v)
+            most, code = np.where(more, most, v), np.where(more, code, t)
+            gain, tied = np.where(more, gain, g), np.where(more, tied, c + tied)
+        v, t, g, c = most, code, gain, tied
+    return [x if x is None else x.tolist() for x in (v, t, g, c)]
+
+
+def _scan_dp(codes: Sequence[int], rows: np.ndarray, kind, p: float):
     """The DP differencing the current sample from the values each step."""
     s = len(codes)
     k, cols = rows.shape
+    buf = block_buffer(k, cols)  # reused by every step
     top = np.zeros(k)  # best V over the samples of each value
     arg = [0] * k  # the smallest index reaching it
     link = np.full(s, -1)  # see _first_reaching
     best = np.zeros(s)
     pred = np.zeros(s, dtype=np.int64)
-    work = k * (cols + 16 if cols >= 8 or kind.tag == "lp" else 3 * (cols - 1))
-    prune = cols >= PRUNE_MIN_COLS and k >= PRUNE_MIN_VALUES and work >= PRUNE_MIN_WORK
+    prune = k >= PRUNE_MIN_VALUES and k * (cols + 16) >= PRUNE_MIN_WORK
     bound = _DistanceBound(rows, kind, p, buf) if prune else None
-    if bound is None and cols < 8:  # the kernel scans narrow tables by column
-        rows = np.asfortranarray(rows)
     live = None  # the values scanned this step, when not all of them
     seen = 1
     for i in range(1, s):
@@ -263,6 +354,17 @@ def _scan_dp(codes: Sequence[int], rows: np.ndarray, kind, p: float, buf: np.nda
     return best, pred
 
 
+def _bound_factors(kind, cols: int) -> tuple[float, float, float, float]:
+    """The trusted range, and the factors ``grow`` and ``lift`` that widen
+    bounds on a computed distance and on its power (each power within
+    _POW_ULPS of exact while normal; g * lift rounds once more)."""
+    grow = 1.0 + 3.0 * _distance_error(cols) + 2.0 * _EPS
+    return (*_trusted_range(kind, cols), grow, 1.0 + (2 * _POW_ULPS + 2) * _EPS)
+
+
+_block_size = math.isqrt  # the batched route's values to a block, of k values
+
+
 class _DistanceBound:
     """Upper bounds on the computed distance from each distinct value to the
     current sample, and the values they cannot rule out of a step.
@@ -280,14 +382,8 @@ class _DistanceBound:
 
     def __init__(self, rows: np.ndarray, kind, p: float, buf: np.ndarray):
         k, cols = rows.shape
-        err = _distance_error(cols)
         self.rows, self.kind, self.p, self.buf = rows, kind, p, buf
-        self.lo, self.hi = _trusted_range(kind, cols)
-        self.grow = 1.0 + 3.0 * err + 2.0 * _EPS
-        # the powers of a distance and of its bound are each within
-        # _POW_ULPS of exact while the bound's is normal, and g * lift
-        # rounds once more; a rounded sum never falls as a term grows
-        self.lift = 1.0 + (2 * _POW_ULPS + 2) * _EPS
+        self.lo, self.hi, self.grow, self.lift = _bound_factors(kind, cols)
         self.ub = np.full(k, np.inf)
         self.ub[0] = 0.0  # the first sample's value
         # comparisons write here: a fresh small mask every step would stock

@@ -255,6 +255,19 @@ def test_path_fields_must_be_json_numbers(tmp_path, capsys, field, message, bad)
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("bad", [[1, 2], "x", 1.5, None], ids=["list", "str", "number", "null"])
+def test_sparse_vector_must_be_an_object(tmp_path, capsys, bad):
+    doc = sparse_step_doc()
+    doc["values"][1]["sparse"] = bad
+    inp = write_json(tmp_path / "p.json", doc)
+    out = tmp_path / "r.json"
+    assert main(["pvar", "--input", inp, "--p", "2", "--out", str(out)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    message = "parse error: sparse vector: expected an object, got %s" % type(bad).__name__
+    assert message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["0.5", True, None], ids=["str", "bool", "null"])
 @pytest.mark.parametrize(
     "gen, message",

@@ -20,6 +20,7 @@ from pvarkit.spaces import (
     coordinate_matrix,
     diff_norm,
     norm,
+    panel_distances,
     row_distances,
 )
 
@@ -244,6 +245,36 @@ def test_narrow_distances_keep_the_row_reduction_bits(kind, cols):
                 assert np.array_equal(got.view(np.int64), expected)
                 got = row_distances(laid_out, x, kind, buf, index)
                 assert np.array_equal(got.view(np.int64), expected[index])
+
+
+@pytest.mark.parametrize("kind", NORMS)
+@pytest.mark.parametrize("cols", range(1, 8))
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_panel_rows_keep_the_one_point_bits(kind, cols):
+    # a batch of points takes its distances, and their powers, as one panel
+    rng = np.random.default_rng(cols)
+    table = rng.standard_normal((50, cols)) * 10.0 ** rng.integers(-200, 200, (50, cols))
+    picked = rng.random((50, cols)) < 0.3
+    table[picked] = rng.choice(POOL, picked.sum())
+    points = table[rng.integers(0, 50, 9)]
+    index = rng.permutation(50)[:17]
+    buf = np.empty(9 * 50)
+    for laid_out in (table, np.asfortranarray(table)):
+        for rows in (laid_out, laid_out[index], table.T.copy()[:, index].T):
+            panel = panel_distances(rows, points, kind, buf)
+            for p in (1.0, 1.5, 3.0):
+                powered = panel ** p
+                for x, got, got_p in zip(points, panel, powered):
+                    one = row_distances(rows, x, kind, block_buffer(50, cols))
+                    assert np.array_equal(got.view(np.int64), one.view(np.int64))
+                    assert np.array_equal(got_p.view(np.int64), (one ** p).view(np.int64))
+
+
+def test_distances_over_no_columns_are_zero():
+    # the embedding of sparse vectors that are all zero has no columns
+    rows = np.zeros((3, 0))
+    assert np.array_equal(row_distances(rows, rows[0], L1, block_buffer(3, 0)), np.zeros(3))
+    assert np.array_equal(panel_distances(rows, rows[:2], L2, np.empty(0)), np.zeros((2, 3)))
 
 
 def test_eight_columns_keep_the_row_reduction():

@@ -7,6 +7,7 @@ honest is the core correctness argument for everything built on top.
 
 import math
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
 
 @contextmanager
 def full_scan_route():
-    """pvar's full scan on tables of every size."""
+    """pvar's full scan on tables of every size and at least 8 columns."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(variation, "TABLE_MAX_VALUES", 0)
         patch.setattr(variation, "PRUNE_MIN_VALUES", MAX_SAMPLES + 1)
@@ -242,27 +243,51 @@ def table_route():
 
 @contextmanager
 def pruned_route(block_bytes=8):
-    """pvar's pruned route on tables of every size.  One-row distance blocks,
-    the default here, gather what it scores a row at a time."""
+    """pvar's pruned route on tables of every size and at least 8 columns.
+    One-row distance blocks, the default here, gather what it scores a row
+    at a time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(variation, "TABLE_MAX_VALUES", 0)
-        patch.setattr(variation, "PRUNE_MIN_COLS", 0)
         patch.setattr(variation, "PRUNE_MIN_VALUES", 0)
         patch.setattr(variation, "PRUNE_MIN_WORK", 0)
         patch.setattr(spaces, "BLOCK_BYTES", block_bytes)
         yield
 
 
-ROUTES = (full_scan_route, table_route, pruned_route)
+@contextmanager
+def batched_route(steps=None, block=None):
+    """pvar's batched route, pruning from the first step, on tables of every
+    size and fewer than 8 columns, with batches of ``steps`` samples and
+    blocks of ``block`` values (by default the route's own)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variation, "TABLE_MAX_VALUES", 0)
+        patch.setattr(variation, "PRUNE_MIN_VALUES", 0)
+        if steps:
+            patch.setattr(variation, "BATCH_STEPS", steps)
+        if block:
+            patch.setattr(variation, "_block_size", lambda k: block)
+        yield
+
+
+# tables of fewer than 8 columns take the batched route where the full
+# scan or pruning is forced
+ROUTES = (full_scan_route, table_route, pruned_route, batched_route)
+# batches and blocks small enough that paths of a few samples cross their
+# edges, end in a partial block and repeat values within a batch
+TINY = [(steps, block) for steps in (1, 2, 3) for block in (1, 2)]
+TINY_ROUTES = tuple(partial(batched_route, steps, block) for steps, block in TINY)
 
 
 @st.composite
 def repeating_paths(draw, max_increments=16, extremes=False):
-    """A path drawn from a pool of at most four values, plus an exponent.
+    """A path drawn from a pool of at most four values, an exponent, and
+    the batch and block sizes of a forced batched route.
 
     With ``extremes``, half the coordinates come from ``EXTREMES``.
     """
-    dim = draw(st.integers(1, 7))  # below 8: the column-wise distance kernel
+    # below 8 the batched route and the column-wise distance kernel, from 8
+    # the full scan and pruning
+    dim = draw(st.integers(1, 9))
     coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     if extremes:
         coord = st.one_of(coord, st.sampled_from(EXTREMES))
@@ -271,18 +296,19 @@ def repeating_paths(draw, max_increments=16, extremes=False):
     kind = draw(st.sampled_from([L1, L2, LINF, LP(1.5)]))
     p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     values = [Vector.dense(row, norm=kind) for row in picks]
-    return DiscretePath([float(t) for t in range(len(values))], values), p
+    tiny = draw(st.sampled_from(TINY))
+    return DiscretePath([float(t) for t in range(len(values))], values), p, tiny
 
 
-def check_equals_bruteforce(path, p):
-    for route in ROUTES:
+def check_equals_bruteforce(path, p, tiny):
+    for route in ROUTES + (partial(batched_route, *tiny),):
         with route():
             assert pvar(path, p).value == pvar_bruteforce(path, p).value
 
 
-def check_partition_matches_reference(path, p):
+def check_partition_matches_reference(path, p, tiny):
     expected = reference_pvar(path, p)
-    for route in ROUTES:
+    for route in ROUTES + (partial(batched_route, *tiny),):
         with route():
             res = pvar(path, p)
         part = res.partition
@@ -326,7 +352,7 @@ def test_rounding_tie_keeps_smallest_predecessor():
     # 0 + 1 and 2e-18 + 1 both round to 1, so sample 0 and sample 2 (both
     # at 0) tie as predecessors of the last sample; the smaller one wins
     path = scalar_path([0.0, 1e-6, 0.0, 1e-6, 1.0])
-    for route in ROUTES:
+    for route in ROUTES + TINY_ROUTES:
         with route():
             res = pvar(path, 3.0)
         assert (res.value, res.partition) == (1.0, [0, 4]) == reference_pvar(path, 3.0)
@@ -335,7 +361,7 @@ def test_rounding_tie_keeps_smallest_predecessor():
 def test_equal_values_on_different_samples_tie_to_smallest_index():
     # symmetric spikes: 1 and -1 sit at the same distance from 0
     path = scalar_path([0.0, 1.0, 0.0, -1.0, 0.0, 1.0, -1.0, 0.0])
-    for route in ROUTES:
+    for route in ROUTES + TINY_ROUTES:
         for e in (1.0, 2.0, 3.0):
             with route():
                 res = pvar(path, e)
@@ -413,21 +439,32 @@ def test_step4_paths_take_the_gain_table(monkeypatch):
     rows = counted_rows(monkeypatch)
     res = pvar(path, 2.0)
     assert rows == [k] * k  # one table row per value, and nothing else
-    with full_scan_route():
-        full = pvar(path, 2.0)
-    assert len(rows) == k + len(path) - 1
-    assert (res.value.hex(), res.partition) == (full.value.hex(), full.partition)
+    with batched_route():
+        batched = pvar(path, 2.0)
+    assert (res.value.hex(), res.partition) == (batched.value.hex(), batched.partition)
+
+
+def taken_routes(monkeypatch):
+    """The names of the DP routes pvar runs, appended as it runs them."""
+    taken = []
+    for name in ("_table_dp", "_batched_dp", "_scan_dp"):
+        def run(*args, _name=name, _dp=getattr(variation, name)):
+            taken.append(_name)
+            return _dp(*args)
+
+        monkeypatch.setattr(variation, name, run)
+    return taken
 
 
 @pytest.mark.parametrize("extra, table", [(0, True), (1, False)])
 def test_table_gate(extra, table, monkeypatch):
-    # TABLE_MAX_VALUES values take the table, one more the full scan
+    # TABLE_MAX_VALUES values take the table, one more the batched route
     k = variation.TABLE_MAX_VALUES + extra
     rng = np.random.default_rng(9)
     path = scalar_path(rng.standard_normal(k)[np.r_[np.arange(k), rng.integers(0, k, 2 * k)]])
-    rows = counted_rows(monkeypatch)
+    taken = taken_routes(monkeypatch)
     res = pvar(path, 2.0)
-    assert len(rows) == (k if table else len(path) - 1)
+    assert taken == ["_table_dp" if table else "_batched_dp"]
     assert (res.value, res.partition) == reference_pvar(path, 2.0)
 
 
@@ -471,25 +508,61 @@ def test_distance_bounds_stay_above_computed_distances(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3])
-def test_narrow_walks_take_the_full_scan(cols, monkeypatch):
-    # 6,000-sample l2 walks: the column-wise kernel scans every value faster
-    # than pruning passes over their bounds; one column never prunes at all
+def test_narrow_walks_take_the_batched_route(cols, monkeypatch):
+    # 6,000-sample l2 walks, as the benchmark's: every step's V and
+    # predecessor are the full scan's, which these tables no longer take
     walk = np.cumsum(np.random.default_rng(cols).standard_normal((6000, cols)), axis=0)
     path = DiscretePath(np.linspace(0.0, 1.0, 6000), [Vector.dense(r) for r in walk])
-    with pruned_route(block_bytes=spaces.BLOCK_BYTES):
-        pruned = pvar(path, 2.0)
-    if cols == 1:
-        monkeypatch.setattr(variation, "PRUNE_MIN_VALUES", 0)
-        monkeypatch.setattr(variation, "PRUNE_MIN_WORK", 0)
+    codes, rows = variation._distinct_rows(path.coordinate_matrix())
+    with full_scan_route():
+        full = variation._scan_dp(codes, rows, L2, 2.0)
+    taken = taken_routes(monkeypatch)
     monkeypatch.setattr(variation, "_DistanceBound", None)  # fails if built
     res = pvar(path, 2.0)
-    assert (res.value.hex(), res.partition) == (pruned.value.hex(), pruned.partition)
+    assert taken == ["_batched_dp"]
+    best, pred = variation._batched_dp(codes, rows, L2, 2.0)
+    assert (best, pred) == (full[0].tolist(), full[1].tolist())
+    assert res.value == best[-1]
+
+
+@pytest.mark.parametrize("kind", [L1, L2, LINF, LP(1.5)])
+def test_batched_route_on_repeated_values(kind):
+    # quantized walks of 800 samples revisit between 65 and 800 values, and
+    # their whole-number distances tie often; the route's own sizes
+    rng = np.random.default_rng(5)
+    for cols, scale in ((1, 6.0), (2, 1.0), (3, 0.5)):  # 155, 429 and 459 values
+        walk = np.round(np.cumsum(rng.standard_normal((800, cols)), axis=0) * scale)
+        path = DiscretePath(np.linspace(0.0, 1.0, 800), [Vector.dense(r, norm=kind) for r in walk])
+        assert variation.TABLE_MAX_VALUES < len(np.unique(walk, axis=0)) < len(path)
+        for p in (1.0, 2.0, 3.0):
+            res = pvar(path, p)
+            assert (res.value, res.partition) == reference_pvar(path, p)
+
+
+@pytest.mark.parametrize("kind", [L1, L2, LINF, LP(1.5)])
+def test_block_bounds_stay_above_computed_candidates(kind):
+    # on a line the triangle inequality is tight from every point before a
+    # block, so only the allowance for rounding keeps each block's bound
+    # above the computed candidates of its members
+    rng = np.random.default_rng(2)
+    direction = rng.standard_normal(7) * 10.0 ** rng.integers(-3, 4, 7)
+    rows = np.cumsum(rng.uniform(0.1, 1.0, 400))[:, None] * direction
+    factors = variation._bound_factors(kind, 7)
+    radius = variation._block_radii(rows, kind, 20, factors)
+    buf = np.empty(400 * 400)
+    dist = spaces.panel_distances(rows[::20], rows, kind, buf)  # points by centers
+    top = np.zeros(400)
+    for p in (1.0, 1.5, 2.0, 3.0, 8.0):  # a high power magnifies a distance's error
+        bound = variation._block_bounds(dist.copy(), radius, top[::20], p, factors)
+        cand = spaces.panel_distances(rows, rows, kind, buf) ** p + top
+        assert np.all(cand.reshape(400, 20, 20).max(axis=2) <= bound)
 
 
 def test_wide_example3_paths_still_prune(monkeypatch):
     # 1,501 samples in 1,500 sup-normed columns: a few rows scored per step
     path = gen_example3(1500)
+    taken = taken_routes(monkeypatch)
     rows = counted_rows(monkeypatch)
     res = pvar(path, 1.0)
-    assert sum(rows) <= 3 * len(path)
+    assert taken == ["_scan_dp"] and sum(rows) <= 3 * len(path)
     assert res.value == partition_sum(path, res.partition, 1.0)
