@@ -120,7 +120,7 @@ def cmd_compose(args) -> int:
     f = _load_generator(args.gen)
     path = _load_path(args.input)
     composed = compose_path(f, path)
-    composed.coordinate_matrix()  # rejects non-finite images before anything is written
+    composed.distinct_matrix()  # rejects non-finite images before anything is written
     _dump_json(composed.to_json(), args.out)
     print("composed %s over %d samples -> %s" % (f.label, len(path), args.out))
     return EXIT_OK

@@ -32,7 +32,7 @@ from .errors import (
     PvarkitError,
     SpikeOverflow,
 )
-from .operators import BOUND_TOL, Generator, compose_path, epsilon_covering
+from .operators import Generator, compose_path, epsilon_covering
 from .paths import DiscretePath
 from .spaces import L2, LINF, Vector, VectorSpace, diff_norm, norm as vector_norm
 from .variation import _check_exponent, _check_pq, bv_norm, pvar
@@ -66,6 +66,7 @@ __all__ = [
 
 SPIKE_CAP = 10 ** 6
 DEFAULT_DEPTHS = (1, 2, 4, 8, 16)
+BOUND_TOL = 1e-9  # absolute slack of each claim; every claim here has a wide margin
 
 _FLOAT_FMT = "%.17g"
 
@@ -175,14 +176,15 @@ def gen_step2_path(step_values: Sequence[Vector]) -> DiscretePath:
 
 
 def _spike_block(t0, t1, background, spike, m, times, values) -> None:
-    # Appends the interior of one spike block; the caller has already
-    # emitted the sample at t0 and will emit one at (or after) t1.
+    # Appends the interior of one spike block: spike k at t0 + k h, back to
+    # the background h / 2 later.  The caller has already emitted the sample
+    # at t0 and will emit one at (or after) t1; ``times`` collects arrays.
     h = (t1 - t0) / (m + 1)
-    for k in range(1, m + 1):
-        times.append(t0 + k * h)
-        values.append(spike)
-        times.append(t0 + k * h + h / 2.0)
-        values.append(background)
+    block = np.empty((m, 2))
+    block[:, 0] = t0 + np.arange(1, m + 1) * h
+    block[:, 1] = block[:, 0] + h / 2.0
+    times.append(block.ravel())
+    values += [spike, background] * m
 
 
 def _spike_train(interval, background, spike, m) -> DiscretePath:
@@ -190,11 +192,11 @@ def _spike_train(interval, background, spike, m) -> DiscretePath:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must satisfy a < b")
-    times, values = [a], [background]
+    times, values = [[a]], [background]
     _spike_block(a, b, background, spike, m, times, values)
-    times.append(b)
+    times.append([b])
     values.append(background)
-    return DiscretePath(times, values, (a, b))
+    return DiscretePath(np.concatenate(times), values, (a, b))
 
 
 SpikeBlock = namedtuple("SpikeBlock", "n u w gap m_raw m_used capped")
@@ -272,16 +274,16 @@ def gen_step4_path(
     """
     blocks = step4_blocks(p, q, pairs, depth, cap, strict)
     space = blocks[0].u.space
-    times, values = [0.0], [space.zero()]
+    times, values = [[0.0]], [space.zero()]
     for block in reversed(blocks):
         t0 = 1.0 / (block.n + 1)
         t1 = 1.0 / block.n
-        times.append(t0)
+        times.append([t0])
         values.append(block.w)
         _spike_block(t0, t1, block.w, block.u, block.m_used, times, values)
-    times.append(1.0)
+    times.append([1.0])
     values.append(blocks[0].w)
-    return DiscretePath(times, values, (0.0, 1.0))
+    return DiscretePath(np.concatenate(times), values, (0.0, 1.0))
 
 
 def step4_restricted_bound(p: float, n: int) -> float:
@@ -585,7 +587,7 @@ def example3_experiment(
         path = gen_example3(d)
         quantities.append(pvar(path, 1.0).value)
         covers.append(epsilon_covering(path, eps))
-        counts.append(len(path.values))
+        counts.append(len(path))
         del path  # before the next, larger path is built
     report = ClaimReport.build(depths, quantities, [bound] * len(depths), lower=False)
     return Example3Experiment(report, covers, eps, counts)

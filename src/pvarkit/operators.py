@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,10 +54,7 @@ __all__ = [
     "BoundCheckReport",
     "composition_bound_check",
     "epsilon_covering",
-    "BOUND_TOL",
 ]
-
-BOUND_TOL = 1e-9
 
 
 def _scalar_in(v: Vector, label: str) -> float:
@@ -209,10 +206,7 @@ def compose_path(f: Generator, path: DiscretePath) -> DiscretePath:
     ``f`` is applied once per distinct value object, in order of first
     appearance; samples holding the same object share its image.
     """
-    # path.values keeps every object alive, so no id is reused meanwhile
-    firsts = {id(v): v for v in path.values}
-    images = {key: f(v) for key, v in firsts.items()}
-    return DiscretePath(path.times, [images[id(v)] for v in path.values], path.interval)
+    return path._mapped([f(v) for v in path.distinct])
 
 
 @dataclass
@@ -369,8 +363,11 @@ def composition_bound_check(
 
     The estimate runs over the exact range of the path, so every increment
     the composed maximisation can use is itself one of the scanned pairs
-    and the inequality holds up to floating-point slack.  A constant path
-    has no distinct pairs; its estimate is taken as zero.
+    and the inequality holds in real arithmetic; the computed sides are
+    compared up to ``_transfer_slack``, their rounding error.  A constant
+    path has no distinct pairs; its estimate is taken as zero.  An infinite
+    estimate, or an L_hat^q beyond the floats, bounds nothing: the check
+    holds.
     """
     p, q = _check_pq(p, q)
     composed = compose_path(f, path)
@@ -383,11 +380,38 @@ def composition_bound_check(
         l_hat, infinite = 0.0, False
     var_p = pvar(path, p).value
     var_q = pvar(composed, q).value
-    if infinite:
-        holds = True if var_p > 0.0 else var_q <= BOUND_TOL
-    else:
-        holds = var_q <= l_hat ** q * var_p + BOUND_TOL
+    slack = _transfer_slack(path.n, p, q, pmat.shape[1], imat.shape[1])
+    try:  # each power in var_p may also underflow, by _POW_ULPS subnormal ulps
+        bound = l_hat ** q * (var_p + path.n * _POW_ULPS * math.ulp(0.0)) * (1.0 + slack)
+    except OverflowError:
+        bound = math.inf
+    holds = infinite or var_q <= bound
     return BoundCheckReport(l_hat=l_hat, var_p=var_p, var_q=var_q, bound_holds=bool(holds))
+
+
+def _transfer_slack(n: int, p: float, q: float, pcols: int, icols: int) -> float:
+    """Relative rounding error of var_q against L^q var_p, as computed.
+
+    Inside ``spaces._trusted_range`` a computed norm is within a factor
+    1 +- e of exact (e = ``_distance_error``), a power within P = _POW_ULPS
+    ulps, and each sum of the DP takes at most n roundings.  Then:
+
+    - var_q is below (1 + e_i)^q (1 + P eps)(1 + eps)^n times the exact sum
+      over its partition, which is at most L^q var_p exactly;
+    - the exact L is below L_hat (1 + e_p)^alpha (1 + P eps)(1 + eps) /
+      (1 - e_i) e^(|alpha - a| |ln D|), D the distance at its pair: the
+      scan's exponent a = fl(p / q) is within alpha eps / 2 of alpha, and
+      |ln D| < 745 between any two vectors of floats;
+    - the exact var_p is below (var_p + n P 2^-1074) / ((1 - e_p)^p (1 - P
+      eps)(1 - eps)^n), the caller adding the term for powers that underflow;
+    - the check takes one more power and four roundings.
+
+    As alpha q = p, the logarithm of the product of these factors is below
+    1.01 t, and e^x - 1 <= 2x while x <= 1.25.
+    """
+    t = 2.0 * q * _distance_error(icols) + 2.0 * p * _distance_error(pcols)
+    t += (q * (_POW_ULPS + 1) + 3 * _POW_ULPS + 2 * n + 4 + 372.5 * p) * _EPS
+    return 2.02 * t if t <= 0.5 else math.inf
 
 
 def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int:
@@ -401,8 +425,8 @@ def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int
     eps = float(eps)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if isinstance(points, DiscretePath):
-        mat, kind = points.coordinate_matrix(), points.space.norm
+    if isinstance(points, DiscretePath):  # a repeated value is never a new center
+        mat, kind = points.distinct_matrix(), points.space.norm
     else:
         points = list(points)
         if not points:

@@ -10,12 +10,12 @@ maximises over.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from .errors import NotASampleTime, PathInvariantError
-from .spaces import Vector, VectorSpace, _check_numbers, _one_per_space, coordinate_matrix
+from .spaces import Vector, VectorSpace, _check_embed_size, _check_numbers, _embed, _one_per_space
 
 __all__ = ["DiscretePath", "MAX_SAMPLES"]
 
@@ -25,9 +25,17 @@ MAX_SAMPLES = 200_000
 
 
 class DiscretePath:
-    """Sampled path on a closed interval, all values in one space."""
+    """Sampled path on a closed interval, all values in one space.
 
-    __slots__ = ("interval", "times", "values", "space", "_matrix")
+    The samples are grouped once, by value object: ``distinct`` holds the
+    value objects in order of first appearance and ``codes`` each sample's
+    index into it, ``range(len(path))`` when no object repeats.  Maps and
+    embeddings then run once per distinct object.
+    """
+
+    __slots__ = (
+        "interval", "times", "space", "distinct", "codes", "_values", "_embedding", "_matrix"
+    )
 
     def __init__(
         self,
@@ -59,37 +67,68 @@ class DiscretePath:
             raise PathInvariantError("first time must equal the interval start")
         if times[-1] != b:
             raise PathInvariantError("last time must equal the interval end")
-        space = values[0].space
-        for v in _one_per_space(values):
+        times.flags.writeable = False
+        self._fill(times, (a, b), *_group(values), values)
+
+    def _mapped(self, images: list[Vector]) -> "DiscretePath":
+        """The path on this time grid holding ``images[c]`` where this one
+        holds ``distinct[c]``."""
+        out = object.__new__(DiscretePath)
+        out._fill(self.times, self.interval, images, self.codes, None)
+        return out
+
+    def _fill(self, times, interval, distinct, codes, values) -> None:
+        space = distinct[0].space
+        for v in _one_per_space(distinct):
             if v.space != space:
                 raise PathInvariantError("values do not share one space")
-        times.flags.writeable = False
-        object.__setattr__(self, "interval", (a, b))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_matrix", None)
+        if isinstance(codes, range):
+            values = distinct
+        for name, value in (
+            ("interval", interval), ("times", times), ("space", space), ("distinct", distinct),
+            ("codes", codes), ("_values", values), ("_embedding", None), ("_matrix", None),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscretePath is immutable")
 
     @property
+    def values(self) -> list[Vector]:
+        """The value of each sample, ``distinct[codes[i]]`` at sample i."""
+        if self._values is None:
+            values = list(map(self.distinct.__getitem__, self.codes.tolist()))
+            object.__setattr__(self, "_values", values)
+        return self._values
+
+    @property
     def n(self) -> int:
         """Number of increments (samples minus one)."""
-        return len(self.values) - 1
+        return self.times.size - 1
 
     def __len__(self):
-        return len(self.values)
+        return self.times.size
 
-    def coordinate_matrix(self) -> np.ndarray:
-        """The (samples, d) coordinate embedding of the values, cached.
+    def distinct_matrix(self) -> np.ndarray:
+        """The (k, d) coordinate embedding of ``distinct``, cached.
 
         Rejects NaN and infinite coordinates, which the engine cannot group.
         """
-        if self._matrix is None:
-            mat = coordinate_matrix(self.values)
+        if self._embedding is None:
+            mat = _embed(self.distinct)
             if not np.isfinite(mat).all():
                 raise PathInvariantError("values must have finite coordinates")
+            object.__setattr__(self, "_embedding", mat)
+        return self._embedding
+
+    def coordinate_matrix(self) -> np.ndarray:
+        """The (samples, d) coordinate embedding of the values, cached: the
+        rows of ``distinct_matrix()`` taken by ``codes``."""
+        if self._matrix is None:
+            mat = self.distinct_matrix()
+            if not isinstance(self.codes, range):
+                _check_embed_size(len(self), mat.shape[1])
+                mat = mat[self.codes]
             object.__setattr__(self, "_matrix", mat)
         return self._matrix
 
@@ -132,7 +171,22 @@ class DiscretePath:
 
     def __repr__(self):
         return "DiscretePath(%d samples on [%g, %g])" % (
-            len(self.values),
+            len(self),
             self.interval[0],
             self.interval[1],
         )
+
+
+def _group(values: list[Vector]) -> tuple[list[Vector], range | np.ndarray]:
+    """The distinct objects of ``values`` by first appearance, and each one's code."""
+    n = len(values)
+    ids = np.fromiter(map(id, values), np.uint64, n)  # values keeps every id in use
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    if first.size == n:
+        return values, range(n)
+    order = first.argsort()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    codes = rank[inverse]
+    codes.flags.writeable = False  # shared by the paths composed from this one
+    return [values[i] for i in first[order].tolist()], codes

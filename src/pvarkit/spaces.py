@@ -15,9 +15,9 @@ vectors of an identical descriptor; anything else raises
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -376,22 +376,22 @@ def coordinate_matrix(vectors: Sequence[Vector]) -> np.ndarray:
     """
     if not vectors:
         return np.zeros((0, 0))
-    space = vectors[0].space
     for v in _one_per_space(vectors):
         _same_space(vectors[0], v)
+    return _embed(vectors)
+
+
+def _embed(vectors: Sequence[Vector]) -> np.ndarray:
+    """``coordinate_matrix`` of vectors known to share one space."""
+    space = vectors[0].space
     if space.kind == "dense":
         cols = space.dim
     else:
         support = sorted(set().union(*(v.data.keys() for v in vectors)))
         cols = len(support)
-    size = len(vectors) * cols * 8
-    if size > MAX_EMBED_BYTES:
-        raise TooLarge(
-            "embedding %d vectors in %d coordinates needs %d bytes, above the "
-            "limit of %d" % (len(vectors), cols, size, MAX_EMBED_BYTES)
-        )
+    _check_embed_size(len(vectors), cols)
     if space.kind == "dense":
-        return np.stack([v.data for v in vectors])
+        return np.array([v.data for v in vectors])
     # one scatter per chunk of rows: entries in row order, each column found
     # in the support; a chunk's index arrays stay within a few blocks
     dtype = np.int64 if not support or support[-1] < 2 ** 63 else object
@@ -411,6 +411,15 @@ def coordinate_matrix(vectors: Sequence[Vector]) -> np.ndarray:
         rows = np.repeat(np.arange(a, a + len(chunk)), lens)
         out[rows, np.searchsorted(support, keys)] = coords
     return out
+
+
+def _check_embed_size(rows: int, cols: int) -> None:
+    size = rows * cols * 8
+    if size > MAX_EMBED_BYTES:
+        raise TooLarge(
+            "embedding %d vectors in %d coordinates needs %d bytes, above the "
+            "limit of %d" % (rows, cols, size, MAX_EMBED_BYTES)
+        )
 
 
 def row_norms(a: np.ndarray, kind: NormKind) -> np.ndarray:

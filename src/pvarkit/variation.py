@@ -109,11 +109,12 @@ def _check_pq(p: float, q: float) -> tuple[float, float]:
     return p, q
 
 
-def _distinct_rows(mat: np.ndarray) -> tuple[Sequence[int], np.ndarray]:
+def _distinct_rows(mat: np.ndarray) -> tuple[range | np.ndarray, np.ndarray]:
     """Code of each row, numbered by first appearance, and the distinct rows.
 
     A stable sort of row indices and a neighbour comparison per column find
-    equal rows without copying ``mat``, returned as is if all are distinct.
+    equal rows without copying ``mat``, returned as is (with codes a range)
+    if all are distinct.
     """
     s, d = mat.shape
     order = np.lexsort(mat.T[::-1]) if d else np.arange(s)
@@ -128,7 +129,7 @@ def _distinct_rows(mat: np.ndarray) -> tuple[Sequence[int], np.ndarray]:
     lead = np.empty(s, dtype=np.intp)
     lead[order] = heads[np.cumsum(new) - 1]
     heads.sort()
-    return np.searchsorted(heads, lead).tolist(), mat[heads]
+    return np.searchsorted(heads, lead), mat[heads]
 
 
 def pvar(path: DiscretePath, p: float) -> PVarResult:
@@ -150,15 +151,33 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     which on large ones differences only values ``_DistanceBound`` does not
     certify strictly below the previous value's candidate."""
     p = _check_exponent(p)
-    codes, rows = _distinct_rows(path.coordinate_matrix())
+    codes, rows = _value_table(path)
     k, cols = rows.shape
     route = _table_dp if k <= TABLE_MAX_VALUES else _batched_dp if cols < 8 else _scan_dp
     best, pred = route(codes, rows, path.space.norm, p)
-    partition = [len(codes) - 1]
-    while partition[-1] != 0:
-        partition.append(int(pred[partition[-1]]))
+    if isinstance(pred, np.ndarray):  # the full scan's: walk Python ints
+        pred = pred.tolist()
+    i, partition = len(codes) - 1, []
+    while i:
+        partition.append(i)
+        i = pred[i]
+    partition.append(0)
     partition.reverse()
     return PVarResult(p=p, value=float(best[-1]), partition=partition)
+
+
+def _value_table(path: DiscretePath) -> tuple[Sequence[int], np.ndarray]:
+    """Each sample's code and the distinct rows, numbered by first appearance.
+
+    The rows of the path's distinct value objects are grouped by float ==
+    (so -0.0 and 0.0 are one value), and their codes taken through the
+    path's: the table grouping every sample's row would give, bit for bit.
+    """
+    sub, rows = _distinct_rows(path.distinct_matrix())
+    codes = path.codes
+    if not isinstance(sub, range):  # equal rows under distinct objects
+        codes = sub if isinstance(codes, range) else sub[codes]
+    return (codes if isinstance(codes, range) else codes.tolist()), rows
 
 
 def _first_reaching(r: int, g: float, v: float, link, best) -> int:
@@ -481,9 +500,9 @@ def partition_sum(path: DiscretePath, indices: Sequence[int], p: float) -> float
 def bv_norm(path: DiscretePath, p: float) -> float:
     """Norm of the starting value plus the p-th root of the p-variation."""
     p = _check_exponent(p)
-    return vector_norm(path.values[0]) + pvar(path, p).value ** (1.0 / p)
+    return vector_norm(path.distinct[0]) + pvar(path, p).value ** (1.0 / p)
 
 
 def sup_norm(path: DiscretePath) -> float:
     """Largest value norm over the samples."""
-    return max(vector_norm(v) for v in path.values)
+    return max(vector_norm(v) for v in path.distinct)

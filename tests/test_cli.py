@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from pvarkit import cli, spaces
+from pvarkit import cli, operators, spaces
 from pvarkit.cli import EXIT_CLAIM, EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
 from pvarkit.errors import TooLarge
 from pvarkit.lab import gen_example3
@@ -146,6 +146,72 @@ def test_bound_check_nan_image_is_invariant_violation(tmp_path, capsys, monkeypa
     ) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert "finite" in captured.err and "FAILS" not in captured.out
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_shared_non_finite_object_exits_3(tmp_path, capsys, monkeypatch, bad):
+    # one non-finite value object held by most samples, as a path built in
+    # process shares it: pvar and compose check each distinct object once
+    space = Vector.dense([0.0]).space
+    worst = Vector(space, np.array([bad]))
+    path = DiscretePath(np.arange(6.0), [Vector.dense([1.0]), worst, worst, worst, worst, worst])
+    monkeypatch.setattr(cli, "_load_path", lambda name: path)
+    inp = write_json(tmp_path / "p.json", {})
+    out = tmp_path / "r.json"
+    assert main(["pvar", "--input", inp, "--p", "2", "--out", str(out)]) == EXIT_INVARIANT
+    assert "values must have finite coordinates" in capsys.readouterr().err
+    gen = write_json(tmp_path / "g.json", {"name": "identity"})
+    assert main(["compose", "--input", inp, "--gen", gen, "--out", str(out)]) == EXIT_INVARIANT
+    assert "values must have finite coordinates" in capsys.readouterr().err
+    # a finite path whose shared image is not
+    image = Generator.custom(lambda v: worst)
+    monkeypatch.setattr(cli, "_load_path", lambda name: DiscretePath([0.0, 1.0], [space.zero()] * 2))
+    monkeypatch.setattr(cli, "_load_generator", lambda name: image)
+    assert main(["compose", "--input", inp, "--gen", gen, "--out", str(out)]) == EXIT_INVARIANT
+    assert "values must have finite coordinates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# var_q = L_hat^2 var_p in real arithmetic; the floats miss it by 4.8e-7
+EXACT_BOUND_PATH = {
+    "interval": [0.0, 2.0],
+    "times": [0.0, 1.0, 2.0],
+    "space": {"kind": "dense", "dim": 1, "norm": "l2"},
+    "values": [{"dense": [x]} for x in (0.0, 30669.833739880964, 61339.66747976193)],
+}
+
+
+def test_bound_check_allows_rounding_error_at_scale(tmp_path, capsys):
+    inp = write_json(tmp_path / "p.json", EXACT_BOUND_PATH)
+    gen = write_json(tmp_path / "g.json", {"name": "identity"})
+    argv = ["bound-check", "--input", inp, "--gen", gen, "--p", "1", "--q", "2"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    var_q, _, rest = out.partition("var_q=")[2].partition(" -> ")
+    assert rest.strip() == "holds"
+    l_hat = float(out.partition("L_hat=")[2].split()[0])
+    var_p = float(out.partition("var_p=")[2].split()[0])
+    assert float(var_q) - l_hat ** 2 * var_p > 1e-7  # above the old fixed slack of 1e-9
+
+
+@pytest.mark.parametrize("excess", [3e-13, 1e-9])
+def test_bound_check_flags_a_real_violation_at_scale(tmp_path, capsys, monkeypatch, excess):
+    # var_q of the composed path raised by a relative 3e-13 (about 1.1e-3
+    # here, 1.5 times the slack) or 1e-9: beyond rounding error, so it fails
+    inp = write_json(tmp_path / "p.json", EXACT_BOUND_PATH)
+    gen = write_json(tmp_path / "g.json", {"name": "identity"})
+    calls = []
+
+    def inflated(path, p):
+        calls.append(p)
+        res = pvar(path, p)
+        return PVarResult(p, res.value * (1.0 + excess) if p == 2.0 else res.value, res.partition)
+
+    monkeypatch.setattr(operators, "pvar", inflated)
+    argv = ["bound-check", "--input", inp, "--gen", gen, "--p", "1", "--q", "2"]
+    assert main(argv) == EXIT_CLAIM
+    assert calls == [1.0, 2.0]
+    assert capsys.readouterr().out.rstrip().endswith("-> FAILS")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

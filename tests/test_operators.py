@@ -275,6 +275,31 @@ def test_composition_bound_constant_path_degenerate():
     assert rep.bound_holds
 
 
+@pytest.mark.parametrize(
+    "x, beta, p, q",
+    [
+        # alpha = fl(1 / 1.5) is off by 7e-17, and |ln d| = 634 magnifies it
+        (1.515696201739936e-276, 0.25, 1.0, 1.5),
+        # d^2 = 1e-336 underflows, so var_p reads 0 while var_q = 1e-252
+        (1e-168, 0.25, 2.0, 6.0),
+    ],
+)
+def test_composition_bound_holds_at_tiny_magnitudes(x, beta, p, q):
+    # both sides are equal in real arithmetic on the path [0, x]
+    path = DiscretePath([0.0, 1.0], [Vector.dense([0.0], norm=L1), Vector.dense([x], norm=L1)])
+    rep = composition_bound_check(Generator.power(beta), path, p, q)
+    assert rep.bound_holds and not rep.var_q <= rep.l_hat ** q * rep.var_p
+
+
+def test_composition_bound_holds_when_l_hat_power_overflows():
+    path = DiscretePath([0.0, 1.0], [Vector.dense([0.0], norm=L1), Vector.dense([1e300], norm=L1)])
+    with np.errstate(over="ignore"):  # var_q's powers overflow too
+        rep = composition_bound_check(Generator.power(0.25), path, 1.0, 30.0)
+    with pytest.raises(OverflowError):
+        rep.l_hat ** 30.0
+    assert rep.bound_holds
+
+
 def test_epsilon_covering_counts():
     pts = [Vector.sparse({k: 1.0}) for k in range(1, 8)]
     # basis vectors are sqrt(2) apart: below that radius nothing merges

@@ -1,11 +1,18 @@
 """DiscretePath invariants, restriction, and serialization."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvarkit.errors import NotASampleTime, PathInvariantError
+from pvarkit import spaces, variation
+from pvarkit.errors import NotASampleTime, PathInvariantError, TooLarge
+from pvarkit.operators import Generator, compose_path
 from pvarkit.paths import DiscretePath
-from pvarkit.spaces import L1, Vector
+from pvarkit.spaces import L1, L2, LINF, Vector, VectorSpace
+from pvarkit.variation import pvar
 
 
 def scalar_path(times, xs, interval=None):
@@ -50,6 +57,11 @@ def test_mixed_spaces_rejected():
     values = [u, u * 2.0, u, Vector.dense([1.0], norm=L1)]
     with pytest.raises(PathInvariantError, match="one space"):
         DiscretePath([0.0, 1.0, 2.0, 3.0], values)
+    # a map whose images leave the space of the first
+    path = DiscretePath([0.0, 1.0, 2.0, 3.0], [u, u * 2.0, u, u * 2.0])
+    widen = Generator.custom(lambda v: v if v is u else Vector.dense([1.0, 2.0]))
+    with pytest.raises(PathInvariantError, match="one space"):
+        compose_path(widen, path)
 
 
 def test_sample_cap_enforced():
@@ -114,3 +126,82 @@ def test_from_json_revalidates():
     doc["times"] = [1.0, 0.0]
     with pytest.raises(PathInvariantError):
         DiscretePath.from_json(doc)
+
+
+# paths over a pool of shared value objects plus equal-valued copies: the
+# grouping by object must give what grouping every sample's row gives
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 1e-300])
+
+
+@st.composite
+def shared_object_paths(draw):
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        space = VectorSpace("dense", L2, dim)
+        make = lambda: Vector(space, np.array(draw(st.lists(_COORDS, min_size=dim, max_size=dim))))
+        copy = lambda v: Vector(space, v.data.copy())
+    else:
+        space = VectorSpace("sparse", LINF)
+        entries = st.dictionaries(st.integers(1, 4), _COORDS.filter(bool), max_size=3)
+        make = lambda: Vector(space, draw(entries))
+        copy = lambda v: Vector(space, dict(v.data))
+    pool = [make() for _ in range(draw(st.integers(1, 5)))]
+    pool += [copy(v) for v in draw(st.lists(st.sampled_from(pool), max_size=3))]
+    values = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=40))
+    return DiscretePath(np.arange(len(values), dtype=float), values)
+
+
+def _bits(a):
+    return a.shape, a.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_object_paths())
+def test_grouping_by_object_matches_the_sample_rows(path):
+    assert [path.distinct[c] for c in path.codes] == path.values
+    assert all(v is path.distinct[c] for v, c in zip(path.values, path.codes))
+    assert _bits(path.coordinate_matrix()) == _bits(spaces.coordinate_matrix(path.values))
+    codes, rows = variation._value_table(path)
+    want_codes, want_rows = variation._distinct_rows(path.coordinate_matrix())
+    assert list(codes) == list(want_codes) and _bits(rows) == _bits(want_rows)
+    # the DP on every sample's own object reads the same table
+    own = DiscretePath(path.times, [Vector(v.space, copy.copy(v.data)) for v in path.values])
+    assert isinstance(own.codes, range)
+    for p in (1.0, 2.5):
+        assert pvar(path, p) == pvar(own, p)
+    calls = []
+
+    def double(v):
+        calls.append(v)
+        return v * 2.0
+
+    composed = compose_path(Generator.custom(double), path)
+    assert [id(v) for v in calls] == [id(v) for v in path.distinct]
+    assert composed.values == [v * 2.0 for v in path.values]
+    assert list(composed.codes) == list(path.codes)
+    want = spaces.coordinate_matrix([v * 2.0 for v in path.values])
+    assert _bits(composed.coordinate_matrix()) == _bits(want)
+    sub = path.restrict(path.times[1], path.times[-1])  # regrouped
+    assert all(v is w for v, w in zip(sub.values, path.values[1:]))
+    assert _bits(sub.coordinate_matrix()) == _bits(spaces.coordinate_matrix(path.values[1:]))
+
+
+def test_only_the_gathered_embedding_counts_every_sample(monkeypatch):
+    u, w = Vector.dense([0.0, 1.0]), Vector.dense([1.0, 0.0])
+    path = DiscretePath(np.arange(6.0), [u, w] * 3)
+    assert path.distinct == [u, w] and list(path.codes) == [0, 1] * 3
+    monkeypatch.setattr(spaces, "MAX_EMBED_BYTES", 2 * 2 * 8)  # two rows, not six
+    assert pvar(path, 1.0).value == 5.0 * 2.0 ** 0.5
+    with pytest.raises(TooLarge, match="embedding 6 vectors"):
+        path.coordinate_matrix()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_shared_non_finite_object_is_rejected(bad):
+    space = Vector.dense([0.0]).space
+    worst = Vector(space, np.array([bad]))
+    path = DiscretePath(np.arange(5.0), [worst, Vector.dense([1.0]), worst, worst, worst])
+    with pytest.raises(PathInvariantError, match="finite"):
+        pvar(path, 2.0)
+    with pytest.raises(PathInvariantError, match="finite"):
+        compose_path(Generator.identity(), path).distinct_matrix()
