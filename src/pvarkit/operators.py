@@ -9,10 +9,11 @@ together: with alpha = p/q and the constant estimated on the exact range
 of the path, the q-variation of the composed path can never exceed L^q
 times the p-variation of the input.
 
-The pair scans take their distances row by row from the coordinate
-embedding through ``spaces.row_distances``, the kernel ``pvar`` uses too;
-the Holder scan then confirms its maximum with the scalar norms, so its
-result is the plain pair loop's bit for bit.
+The Holder scan takes the distances from a block of rows of the coordinate
+embedding to every later row in a few numpy calls, through the distance
+panels ``pvar`` uses too on narrow tables, then confirms its maximum with
+the scalar norms, so its result is the plain pair loop's bit for bit.  The
+bound check runs it over the path's distinct values only.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spaces
 from .errors import (
     DomainMismatch,
     InvalidAlpha,
+    PathInvariantError,
     TooFewPoints,
 )
 from .paths import DiscretePath
@@ -38,10 +41,12 @@ from .spaces import (
     Vector,
     _check_numbers,
     _distance_error,
+    _reduce_abs,
     _trusted_range,
     block_buffer,
     coordinate_matrix,
     diff_norm,
+    panel_distances,
     row_distances,
 )
 from .variation import _check_pq, _distinct_rows, pvar
@@ -245,17 +250,19 @@ def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> Hol
     The scan runs in index order (i, j), i < j, and keeps the first pair
     attaining the maximum, so the witness is deterministic.
 
-    Each row i is scored against rows i+1.. of the coordinate embeddings
-    of the points and of their images in a few numpy calls, O(n^2 d) in
-    all.  Array norms and powers may differ from the scalar ones in the
-    last bits, so array ratios only locate the maximum: every pair within
-    an error band of it is re-scored as ``diff_norm(f(u), f(w)) /
+    A block of rows i is scored against every later row of the coordinate
+    embeddings of the points and of their images in a few numpy calls,
+    O(n^2 d) in all, each block's arrays within ``spaces.BLOCK_BYTES``.
+    Array norms and powers may differ from the scalar ones in the last
+    bits, so array ratios only locate the maximum: every pair within an
+    error band of it is re-scored as ``diff_norm(f(u), f(w)) /
     diff_norm(u, w) ** alpha``, and pairs whose values leave the range the
     band covers (underflow, overflow, NaN) take those scalar steps in
     full.  Constant, witness and pair count are the plain loop's, bit for
-    bit.  Ratios tied within the band are each re-scored, so a map whose
-    ratios all tie (the identity at alpha = 1) costs one scalar step per
-    pair.  All points, and all images, must share one space.
+    bit.  Ratios tied within the band are each re-scored, except at alpha
+    = 1 with points and images of one column under l1, l2 or linf: there
+    an array ratio is the scalar one, so the ties of the identity cost
+    nothing.  All points, and all images, must share one space.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -269,9 +276,19 @@ def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> Hol
 
 
 def _holder_scan(
-    points: list[Vector], images: list[Vector], pmat: np.ndarray, imat: np.ndarray, alpha: float
+    points: list[Vector],
+    images: list[Vector],
+    pmat: np.ndarray,
+    imat: np.ndarray,
+    alpha: float,
+    both_ways: Callable[[int, int], bool] | None = None,
 ) -> HolderEstimate:
-    """``estimate_holder`` over points and images already embedded."""
+    """``estimate_holder`` over points and images already embedded.
+
+    ``both_ways(i, j)`` says that the pair also counts as (j, i), whose
+    scalar norms may differ in the last bit for sparse vectors (their
+    difference sums in another order); the larger ratio of the two is kept.
+    """
     n = len(points)
     pkind, ikind = points[0].space.norm, images[0].space.norm
     pcode = np.asarray(_distinct_rows(pmat)[0])
@@ -287,55 +304,98 @@ def _holder_scan(
         _distance_error(pmat.shape[1]) + _distance_error(imat.shape[1]) + (_POW_ULPS + 2) * _EPS
     )
     cut = 1.0 - 3.0 * band
-    pbuf, ibuf = block_buffer(n - 1, pmat.shape[1]), block_buffer(n - 1, imat.shape[1])
+    # one column under l1, l2 or linf: an array distance is |x_j - x_i|, as
+    # diff_norm's, and at alpha = 1 the array ratio is the scalar one
+    same = alpha == 1.0 and pmat.shape[1] == imat.shape[1] == 1 and "lp" not in (
+        pkind.tag, ikind.tag
+    )
+
+    def scalar(i: int, j: int) -> float:
+        r = diff_norm(images[i], images[j]) / diff_norm(points[i], points[j]) ** alpha
+        if both_ways is not None and both_ways(i, j):
+            s = diff_norm(images[j], images[i]) / diff_norm(points[j], points[i]) ** alpha
+            if s > r or r != r:
+                r = s
+        return r
+
+    cap = spaces.BLOCK_BYTES // 8
+    width = max(1 if m.shape[1] < 8 else m.shape[1] for m in (pmat, imat))
+    buf = np.empty(max(cap, n))
     top = -math.inf  # largest ratio so far, array or scalar
-    kept = []  # per row: (i, columns j, ratios, exact?) of pairs near the top
+    kept = []  # per block: rows i, columns j, ratios and exact? of pairs near the top
     count = 0
-    for i in range(n - 1):
-        live = pcode[i + 1 :] != pcode[i]  # identical points are skipped
+    a = 0
+    while a < n - 1:  # rows [a, b) against every later row: column c is row a + 1 + c
+        m = n - 1 - a
+        b = min(n - 1, a + max(1, cap // (m * width)))
         with np.errstate(all="ignore"):  # what overflows is re-scored below
-            d = row_distances(pmat[i + 1 :], pmat[i], pkind, pbuf)
-            gap = row_distances(imat[i + 1 :], imat[i], ikind, ibuf)
+            d = _pair_distances(pmat, a, b, pkind, buf)
+            gap = _pair_distances(imat, a, b, ikind, buf)
             ratio = gap / d ** alpha
-        fixed = icode[i + 1 :] == icode[i]  # equal images: ratio exactly 0
+        later = np.arange(a + 1, n) > np.arange(a, b)[:, None]
+        live = later & (pcode[a + 1 :] != pcode[a:b, None])  # identical points are skipped
+        fixed = icode[a + 1 :] == icode[a:b, None]  # equal images: ratio exactly 0
         trusted = (
             (d >= dlo) & (d <= dhi)
             & (fixed | (gap >= nlo) & (gap <= nhi) & (ratio >= _SMALL) & (ratio <= _BIG))
         )
-        exact = fixed | ~trusted
-        for k in (live & ~trusted).nonzero()[0].tolist():  # the scalar steps
-            j = i + 1 + k
+        exact = fixed | ~trusted | same
+        for f in (live & ~trusted).ravel().nonzero()[0].tolist():  # the scalar steps, row-major
+            r, c = divmod(f, m)
+            i, j = a + r, a + 1 + c
             dist = diff_norm(points[i], points[j])
             if dist == 0.0:
                 if images[i] == images[j]:
-                    live[k] = False
+                    live[r, c] = False
                     continue
                 return HolderEstimate(
                     alpha=alpha,
                     constant=math.inf,
                     witness=(points[i], points[j]),
-                    pair_count=count + int(np.count_nonzero(live[:k])),
+                    pair_count=count + int(np.count_nonzero(live.ravel()[:f])),
                     infinite=True,
                 )
-            ratio[k] = diff_norm(images[i], images[j]) / dist ** alpha
+            ratio[r, c] = scalar(i, j)
         count += int(np.count_nonzero(live))
         top = max(top, float(ratio.max(where=live & ~np.isnan(ratio), initial=-math.inf)))
-        near = (live & (ratio >= top * cut)).nonzero()[0]
-        if near.size:
-            kept.append((i, near + (i + 1), ratio[near], exact[near]))
+        rs, cs = (live & (ratio >= top * cut)).nonzero()  # row-major
+        if rs.size:
+            kept.append((rs + a, cs + (a + 1), ratio[rs, cs], exact[rs, cs]))
+        a = b
     if count == 0:
         raise TooFewPoints("points contain fewer than 2 distinct vectors")
     best, witness = -1.0, None  # stays so when every ratio is NaN
-    lo = top * cut
-    for i, js, ratios, scored in kept:  # row-major order
-        for j, r, e in zip(js.tolist(), ratios.tolist(), scored.tolist()):
-            if not r >= lo:
-                continue
-            if not e:
-                r = diff_norm(images[i], images[j]) / diff_norm(points[i], points[j]) ** alpha
-            if r > best:
-                best, witness = r, (points[i], points[j])
+    if kept:
+        rows, cols, ratios, scored = (np.concatenate(part) for part in zip(*kept))
+        near = ratios >= top * cut  # against the final top
+        rows, cols, ratios, scored = (part[near] for part in (rows, cols, ratios, scored))
+        for k in (~scored).nonzero()[0].tolist():
+            ratios[k] = scalar(int(rows[k]), int(cols[k]))
+        ratios[np.isnan(ratios)] = -math.inf
+        if ratios.size and ratios.max() > best:
+            k = int(ratios.argmax())  # the first maximum in row-major order
+            best, witness = float(ratios[k]), (points[rows[k]], points[cols[k]])
     return HolderEstimate(alpha=alpha, constant=best, witness=witness, pair_count=count)
+
+
+def _pair_distances(mat: np.ndarray, a: int, b: int, kind, buf: np.ndarray) -> np.ndarray:
+    """Distances from each row in [a, b) to every row after a, a row each.
+
+    Tables of fewer than 8 columns take distance panels; wider ones a
+    (rows, later rows, columns) difference reduced along its last axis, in
+    chunks of later rows within ``spaces.BLOCK_BYTES``.  That reduction may
+    sum in another order than the scalar norm does, which the Holder scan's
+    error band covers: array ratios only locate its maximum.
+    """
+    rows, x = mat[a + 1 :], mat[a:b]
+    if mat.shape[1] < 8:
+        return panel_distances(rows, x, kind, buf)
+    out = np.empty((b - a, len(rows)))
+    step = max(1, spaces.BLOCK_BYTES // (8 * (b - a) * mat.shape[1]))
+    for c in range(0, len(rows), step):
+        diff = np.subtract(rows[None, c : c + step], x[:, None])
+        out[:, c : c + step] = _reduce_abs(np.abs(diff, out=diff), kind, axis=2)
+    return out
 
 
 @dataclass
@@ -364,29 +424,71 @@ def composition_bound_check(
     The estimate runs over the exact range of the path, so every increment
     the composed maximisation can use is itself one of the scanned pairs
     and the inequality holds in real arithmetic; the computed sides are
-    compared up to ``_transfer_slack``, their rounding error.  A constant
-    path has no distinct pairs; its estimate is taken as zero.  An infinite
-    estimate, or an L_hat^q beyond the floats, bounds nothing: the check
-    holds.
+    compared up to ``_transfer_slack``, their rounding error.  L_hat and
+    its ``infinite`` flag depend only on which pairs of values the path
+    holds (and for sparse vectors in which orders), so the scan runs over
+    its distinct values, O(k^2) for k of them.
+    A constant path has no distinct pairs; its estimate is taken as zero.
+    An infinite bound (an infinite estimate, or a finite L_hat whose bound
+    is beyond the floats) bounds nothing: the check holds, even over a
+    var_q that overflows.  Norms that overflow leave nothing to compare
+    and raise :class:`PathInvariantError`: an L_hat left at -1.0 because
+    every ratio is NaN, a var_p that is not finite, or any other var_q
+    that is not (an L_hat that overflowed with it carries no information).
     """
     p, q = _check_pq(p, q)
     composed = compose_path(f, path)
-    pmat, imat = path.coordinate_matrix(), composed.coordinate_matrix()
+    points, images, pmat, imat, both_ways = _value_pairs(path, composed)
     try:
-        estimate = _holder_scan(path.values, composed.values, pmat, imat, p / q)
+        estimate = _holder_scan(points, images, pmat, imat, p / q, both_ways)
         l_hat = estimate.constant
         infinite = estimate.infinite
     except TooFewPoints:
         l_hat, infinite = 0.0, False
+    if not (infinite or l_hat >= 0.0):
+        raise PathInvariantError("L_hat is undefined: every Holder ratio is NaN, as norms overflow")
     var_p = pvar(path, p).value
     var_q = pvar(composed, q).value
+    if not math.isfinite(var_p):
+        raise PathInvariantError("var_p is %r: the norms of the path overflow" % var_p)
     slack = _transfer_slack(path.n, p, q, pmat.shape[1], imat.shape[1])
     try:  # each power in var_p may also underflow, by _POW_ULPS subnormal ulps
         bound = l_hat ** q * (var_p + path.n * _POW_ULPS * math.ulp(0.0)) * (1.0 + slack)
     except OverflowError:
         bound = math.inf
+    if not (math.isfinite(var_q) or infinite or l_hat < bound == math.inf):
+        raise PathInvariantError("var_q is %r: the norms of the composed path overflow" % var_q)
     holds = infinite or var_q <= bound
     return BoundCheckReport(l_hat=l_hat, var_p=var_p, var_q=var_q, bound_holds=bool(holds))
+
+
+def _value_pairs(path: DiscretePath, composed: DiscretePath):
+    """What the bound check scans: one sample of each (value, image) pair of
+    floats the path holds, by first appearance, its points, images and their
+    embeddings, and ``both_ways`` for ``_holder_scan`` on sparse spaces.
+
+    Samples whose value and image hold the same floats, in the same entry
+    order for sparse vectors, score alike against any other.  The order of
+    a pair matters only to sparse norms: pairs i < j also occur as j before
+    i when a sample of j comes before the last of i.
+    """
+    groups: dict = {}
+    pairs = zip(map(_key, path.distinct), map(_key, composed.distinct))
+    group = np.array([groups.setdefault(pair, len(groups)) for pair in pairs])
+    heads = np.unique(group, return_index=True)[1].tolist()
+    points, images = [path.distinct[h] for h in heads], [composed.distinct[h] for h in heads]
+    pmat, imat = path.distinct_matrix()[heads], composed.distinct_matrix()[heads]
+    both_ways = None
+    if len(groups) < len(path) and "sparse" in (path.space.kind, composed.space.kind):
+        codes = group[path.codes]
+        first = np.unique(codes, return_index=True)[1]
+        last = len(codes) - 1 - np.unique(codes[::-1], return_index=True)[1]
+        both_ways = lambda i, j: bool(first[j] < last[i])
+    return points, images, pmat, imat, both_ways
+
+
+def _key(v: Vector):
+    return v.data.tobytes() if v.space.kind == "dense" else tuple(v.data.items())
 
 
 def _transfer_slack(n: int, p: float, q: float, pcols: int, icols: int) -> float:

@@ -33,7 +33,6 @@ from .spaces import (
     _distance_error,
     _trusted_range,
     block_buffer,
-    diff_norm,
     norm as vector_norm,
     panel_distances,
     row_distances,
@@ -487,13 +486,19 @@ def pvar_restricted(path: DiscretePath, p: float, c: float, d: float) -> PVarRes
 def partition_sum(path: DiscretePath, indices: Sequence[int], p: float) -> float:
     """Sum of p-th powers of increment norms along the given index chain.
 
-    Evaluated directly on the stored vectors, so tests can re-check any
-    reported partition without going through the engine's embedding.
+    Taken as ``pvar`` takes it: each norm by ``row_norms`` on rows of the
+    path's ``distinct_matrix()``, the powers by array ``**``, their sum left
+    to right in Python floats; so a partition ``pvar`` reports gives back
+    its value exactly.  ``pvar_bruteforce`` is the independent check.
     """
     p = _check_exponent(p)
+    at = np.asarray(indices, dtype=np.intp)
+    if not isinstance(path.codes, range):
+        at = path.codes[at]
+    rows = path.distinct_matrix()[at]
     total = 0.0
-    for a, b in zip(indices, list(indices)[1:]):
-        total += diff_norm(path.values[b], path.values[a]) ** p
+    for term in (row_norms(rows[:-1] - rows[1:], path.space.norm) ** p).tolist():
+        total += term
     return total
 
 

@@ -214,6 +214,33 @@ def test_bound_check_flags_a_real_violation_at_scale(tmp_path, capsys, monkeypat
     assert capsys.readouterr().out.rstrip().endswith("-> FAILS")
 
 
+@pytest.mark.parametrize(
+    "xs, gen, q, named",
+    [
+        # the l2 distances overflow: var_p is inf, every ratio 0, L_hat 0.0
+        ([0.0, 7e199, 2e199, 1.3e200], {"name": "power", "beta": 0.5}, "2", "var_p is inf"),
+        # every ratio inf / inf: an L_hat of -1.0 to a fractional power
+        ([0.0, 1e200, 2e200], {"name": "identity"}, "1.5", "L_hat is undefined"),
+    ],
+)
+def test_bound_check_with_overflowing_norms_exits_3(tmp_path, capsys, xs, gen, q, named):
+    doc = {
+        "interval": [0.0, len(xs) - 1.0],
+        "times": [float(t) for t in range(len(xs))],
+        "space": {"kind": "dense", "dim": 1, "norm": "l2"},
+        "values": [{"dense": [x]} for x in xs],
+    }
+    inp = write_json(tmp_path / "p.json", doc)
+    gen = write_json(tmp_path / "g.json", gen)
+    out = tmp_path / "r.json"
+    argv = ["bound-check", "--input", inp, "--gen", gen, "--p", "1", "--q", q, "--out", str(out)]
+    with np.errstate(all="ignore"):
+        assert main(argv) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert "invariant violation: %s" % named in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_compose_non_finite_breakpoint_is_parse_error(tmp_path, capsys, bad):
     _, doc = step_path_doc()

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvarkit import spaces
+from pvarkit import operators, spaces
 from pvarkit.errors import (
     DomainMismatch,
     InvalidAlpha,
     NoViolatorFound,
+    PathInvariantError,
     TooFewPoints,
 )
 from pvarkit.lab import find_holder_violators, gen_example3, power_divergence_candidates
@@ -24,7 +25,7 @@ from pvarkit.operators import (
     estimate_holder,
 )
 from pvarkit.paths import DiscretePath
-from pvarkit.spaces import L1, L2, LINF, LP, Vector, diff_norm, norm
+from pvarkit.spaces import L1, L2, LINF, LP, Vector, coordinate_matrix, diff_norm, norm
 from pvarkit.variation import pvar
 
 from conftest import build_corpus
@@ -224,6 +225,11 @@ def test_holder_estimate_infinite_on_zero_distance_image_gap():
     assert est.infinite
     assert est.constant == math.inf
     assert est.pair_count == 0
+    # pairs are counted up to the zero-distance one in row-major order
+    pts = [Vector.dense([x], norm=L2) for x in (0.0, 5.0, 1e-200, 2.0)]
+    est = estimate_holder(Generator.identity(), pts, 1.0)
+    assert est.infinite and est.pair_count == 1
+    assert est.witness[0] is pts[0] and est.witness[1] is pts[2]
 
 
 def test_composition_bound_identity_on_corpus():
@@ -437,6 +443,145 @@ def test_holder_scan_in_tiny_blocks_on_wide_sparse_rows(kind, monkeypatch):
     for f in (Generator.identity(), Generator.l2_sup()):
         for alpha in (0.37, 1.0):
             assert_holder_matches_reference(f, pts, alpha)
+
+
+@pytest.mark.parametrize("block_bytes", [8, 800, 16000])
+@pytest.mark.parametrize("wide", [False, True])
+def test_holder_scan_in_blocks_of_rows(block_bytes, wide, monkeypatch):
+    # 8 bytes make one-row blocks; 800 blocks of a few narrow rows, or of one
+    # wide row differenced against a few later rows at a time; 16000 blocks
+    # of several rows, wide ones in one difference
+    monkeypatch.setattr(spaces, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(8)
+    for kind in NORMS:
+        if wide:
+            sets = [[
+                Vector.sparse({int(k): float(rng.normal()) for k in rng.choice(12, 5) + 1}, kind)
+                for _ in range(26)
+            ]]
+            assert coordinate_matrix(sets[0]).shape[1] >= 8
+            gens = [Generator.identity(), Generator.l2_sup()]
+        else:
+            sets = [[Vector.dense(rng.normal(size=dim).tolist(), kind) for _ in range(26)]
+                    for dim in (1, 3)]
+            gens = [Generator.identity(), Generator.custom(lambda v: 0.5 * v)]
+        for pts in sets:
+            pts += pts[:4]  # repeats
+            for f in gens:
+                for alpha in (0.37, 1.0):
+                    assert_holder_matches_reference(f, pts, alpha)
+
+
+@pytest.mark.parametrize("kind", [L1, L2, LINF])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_one_column_array_distances_are_the_scalar_ones(kind):
+    # with them the array ratio at alpha = 1 is the scalar one: d ** 1.0 is d
+    xs = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, -1e-300, 3e-300, 1.0, -2.5]
+    xs += [1e300, -1e300, 1.7e308]
+    pts = [Vector.dense([x], kind) for x in xs]
+    mat = coordinate_matrix(pts)
+    d = operators._pair_distances(mat, 0, len(xs) - 1, kind, np.empty(len(xs) ** 2))
+    for i in range(len(xs) - 1):
+        for j in range(i + 1, len(xs)):
+            assert repr(float(d[i, j - 1])) == repr(diff_norm(pts[i], pts[j]))
+            assert repr(float(d[i, j - 1] ** 1.0)) == repr(diff_norm(pts[i], pts[j]) ** 1.0)
+    finite = [v for v in pts if abs(float(v.data[0])) < 1e300]
+    for f in (Generator.identity(), Generator.power(0.5)):
+        assert_holder_matches_reference(f, finite, 1.0)
+
+
+def test_holder_scan_at_alpha_one_takes_no_scalar_steps_on_one_column(monkeypatch):
+    # every pair of the identity ties at ratio 1.0: no re-score, first pair wins
+    calls = []
+    monkeypatch.setattr(operators, "diff_norm", lambda u, w: calls.append(1) or diff_norm(u, w))
+    for kind in (L1, L2, LINF):
+        line = [Vector.dense([float(k) * 0.1], kind) for k in range(80)]
+        est = estimate_holder(Generator.identity(), line, 1.0)
+        assert est.constant == 1.0 and est.pair_count == 80 * 79 // 2
+        assert est.witness[0] is line[0] and est.witness[1] is line[1]
+    assert calls == []
+    estimate_holder(Generator.identity(), line, 0.5)  # other exponents re-score ties
+    assert calls
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_bound_check_on_repeated_values_scans_each_value_pair_once(shared, monkeypatch):
+    # two shared value objects, or one object per sample as JSON loads them
+    calls = []
+    monkeypatch.setattr(operators, "diff_norm", lambda u, w: calls.append(1) or diff_norm(u, w))
+    a, b = Vector.dense([0.0]), Vector.dense([1.0])
+    counts = []
+    for n in (400, 4000):
+        calls.clear()
+        values = [a, b] * (n // 2) if shared else [Vector.dense([t % 2.0]) for t in range(n)]
+        path = DiscretePath(np.arange(float(n)), values)
+        rep = composition_bound_check(Generator.power(0.5), path, 1.0, 2.0)
+        assert rep.l_hat == 1.0 and rep.bound_holds
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
+
+
+# p and q giving each alpha the Holder cases draw
+PQ = {0.37: (1.0, 2.7), 0.5: (1.0, 2.0), 1.0: (2.0, 2.0)}
+
+
+@given(holder_cases(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_bound_check_estimate_is_the_pair_loops_over_the_samples(case, fresh):
+    # the scan over distinct values gives the L_hat and infinite flag the
+    # pair loop gives over every sample, sparse orders of a pair included;
+    # fresh copies stand for a path loaded from JSON, one object per sample
+    f, points, alpha = case
+    p, q = PQ[alpha]
+    if fresh:
+        points = [Vector(v.space, v.data.copy()) for v in points]
+    path = DiscretePath(np.arange(float(len(points))), points)
+    try:
+        want, _, _, infinite = reference_holder(f, path.values, p / q)
+    except TooFewPoints:
+        want, infinite = 0.0, False
+    got = composition_bound_check(f, path, p, q)
+    assert repr(got.l_hat) == repr(want)
+    assert (got.l_hat == math.inf) == infinite
+    assert got.bound_holds
+
+
+def test_bound_check_scores_a_sparse_pair_in_each_order_the_path_takes():
+    # a sparse difference sums its entries in its left operand's order, so
+    # the two orders of this pair differ in the last bit, and so do their ratios
+    u, w = Vector.sparse({1: 0.1, 3: 0.1}, L1), Vector.sparse({2: 0.6}, L1)
+    assert diff_norm(u, w) == 0.8 and diff_norm(w, u) == 0.7999999999999999
+    f = Generator.identity()
+    seen = set()
+    for values in ([w, u], [w, u, w], [u, w], [u, w, u], [w, w, u, u, w], [u, u, w, w]):
+        path = DiscretePath(np.arange(float(len(values))), values)
+        want = reference_holder(f, values, 0.5)[0]
+        assert composition_bound_check(f, path, 1.0, 2.0).l_hat == want
+        seen.add(want)
+    assert len(seen) == 2
+    # equal vectors whose entries come in another order: each order counts
+    u, v = Vector.sparse({1: 0.1, 3: 0.1, 4: 0.6}, L1), Vector.sparse({4: 0.6, 3: 0.1, 1: 0.1}, L1)
+    zero = Vector.sparse({}, L1)
+    assert u == v and diff_norm(u, zero) == 0.8 and diff_norm(v, zero) == 0.7999999999999999
+    for values in ([zero, v, u], [zero, u, v], [v, zero, u, zero]):
+        path = DiscretePath(np.arange(float(len(values))), values)
+        want = reference_holder(f, values, 0.5)[0]
+        assert want == 0.8 / 0.8 ** 0.5
+        assert composition_bound_check(f, path, 1.0, 2.0).l_hat == want
+
+
+@pytest.mark.parametrize(
+    "xs, f, q, named",
+    [
+        ([0.0, 7e199, 2e199, 1.3e200], Generator.power(0.5), 2.0, "var_p is inf"),
+        ([0.0, 1e200, 2e200], Generator.identity(), 1.5, "L_hat is undefined"),
+        ([0.0, 1.0, 2.0], Generator.custom(lambda v: 1e200 * v), 2.0, "var_q is inf"),
+    ],
+)
+def test_bound_check_with_overflowing_norms_is_an_invariant_violation(xs, f, q, named):
+    path = DiscretePath(np.arange(float(len(xs))), [Vector.dense([x], L2) for x in xs])
+    with np.errstate(all="ignore"), pytest.raises(PathInvariantError, match=named):
+        composition_bound_check(f, path, 1.0, q)
 
 
 def reference_violators(f, p, q, M, candidates, count):
