@@ -34,7 +34,16 @@ from .errors import (
 )
 from .operators import Generator, compose_path, epsilon_covering
 from .paths import DiscretePath
-from .spaces import L2, LINF, Vector, VectorSpace, diff_norm, norm as vector_norm
+from .spaces import (
+    L2,
+    LINF,
+    Vector,
+    VectorSpace,
+    coordinate_matrix,
+    diff_norm,
+    norm as vector_norm,
+    panel_distances,
+)
 from .variation import _check_exponent, _check_pq, bv_norm, pvar
 
 __all__ = [
@@ -344,16 +353,10 @@ def find_holder_violators(
         )
     alpha = p / q
     # every pair at nonzero distance, in scan order, with |u-w|^alpha and
-    # |f(u)-f(w)|: each index n then only compares the two against 4 M n^2
-    index, powers, image_gaps = [], [], []
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            gap = diff_norm(candidates[i], candidates[j])
-            if gap != 0.0:
-                index.append((i, j))
-                powers.append(gap ** alpha)
-                image_gaps.append(diff_norm(images[i], images[j]))
-    powers, image_gaps = np.array(powers), np.array(image_gaps)
+    # |f(u)-f(w)|: each index n then only compares the two against 4 M n^2;
+    # each power scalar, as array powers may differ in the last bit
+    index, gaps, image_gaps = _pair_gaps(candidates, images)
+    powers = np.array([gap ** alpha for gap in gaps])
     pairs = []
     for n in range(1, count + 1):
         hits = (image_gaps > 4.0 * M * n * n * powers).nonzero()[0]
@@ -362,6 +365,40 @@ def find_holder_violators(
         i, j = index[hits[0]]
         pairs.append((candidates[i], candidates[j]))
     return pairs
+
+
+def _pair_gaps(points: list[Vector], images: list[Vector]):
+    """Pairs (i, j), i < j, of points at nonzero distance in row-major
+    order, with |u - w| as a list and |f(u) - f(w)| as an array.
+
+    On one column under l1, l2 or linf, one distance panel of each matrix
+    gives every pair ``diff_norm``'s bits; other spaces take a scalar step
+    per pair."""
+    if _on_a_line(points[0]) and _on_a_line(images[0]):
+        i, j = np.triu_indices(len(points), 1)
+        gaps, image_gaps = _line_gaps(points)[i, j], _line_gaps(images)[i, j]
+        keep = gaps != 0.0
+        return list(zip(i[keep].tolist(), j[keep].tolist())), gaps[keep].tolist(), image_gaps[keep]
+    index, gaps, image_gaps = [], [], []
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            gap = diff_norm(points[i], points[j])
+            if gap != 0.0:
+                index.append((i, j))
+                gaps.append(gap)
+                image_gaps.append(diff_norm(images[i], images[j]))
+    return index, gaps, np.array(image_gaps)
+
+
+def _on_a_line(v: Vector) -> bool:
+    space = v.space
+    return space.kind == "dense" and space.dim == 1 and space.norm.tag in ("l1", "l2", "linf")
+
+
+def _line_gaps(vectors: list[Vector]) -> np.ndarray:
+    """Distances between every two of one-column vectors, d[i, j] = |v_j - v_i|."""
+    mat = coordinate_matrix(vectors)
+    return panel_distances(mat, mat, vectors[0].space.norm, None)  # one column: no buffer
 
 
 def run_divergence_step6(

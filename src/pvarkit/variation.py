@@ -5,9 +5,10 @@ subsequences of the sample indices with a dynamic program that groups
 predecessors by value, at O(n k d) cost for n samples, k distinct values
 and d coordinates, by one of three routes with the same result bit for
 bit: tables of at most 64 values read their table of powered distances in
-Python floats, the rest take batches of steps through distance panels if
-narrower than 8 columns, else a scan over the values seen that skips, on
-large tables, those triangle inequalities rule out.  ``pvar_bruteforce``
+Python floats, taking long stretches that alternate two values a window
+of steps at a time; the rest take batches of steps through distance
+panels if narrower than 8 columns, else a scan over the values seen that
+skips, on large tables, those triangle inequalities rule out.  ``pvar_bruteforce``
 enumerates every subsequence literally and exists as an independent
 oracle for the engine, guarded to small paths.  Tests hold the two to
 bit-for-bit agreement.
@@ -16,6 +17,7 @@ bit-for-bit agreement.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add
@@ -60,6 +62,11 @@ BRUTEFORCE_LIMIT = 20  # increments, i.e. 2^(n-1) candidate subsequences
 TABLE_MAX_VALUES = 64
 
 BATCH_STEPS = 32  # steps to a batch of the batched route: 16 and 64 ran slower
+
+# The table route takes alternating stretches (each sample's value that of
+# two samples back, not the last one's) of RUN_MIN or more steps in windows
+# of RUN_STEPS steps, doubling while whole windows are taken, to RUN_CAP.
+RUN_MIN, RUN_STEPS, RUN_CAP = 16, 32, 1024
 
 # The full scan prunes tables of PRUNE_MIN_VALUES values and k (cols + 16)
 # >= PRUNE_MIN_WORK, + 16 being the row reduction's cost in columns: on 2
@@ -143,7 +150,12 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     Three routes give the same value and partition bit for bit.  Tables of
     at most ``TABLE_MAX_VALUES`` values power each value's distances to all
     once and add them in Python floats, whose + is numpy's; array ``**``
-    gives each element the same bits at every length and offset.  Larger
+    gives each element the same bits at every length and offset.  Where the
+    samples alternate two values, that route takes each step whose previous
+    sample is the only best predecessor in windows of up to ``RUN_CAP``
+    steps, V by one accumulate, and walks each such run back in one range
+    (see ``_take_run``): the 43,498-sample spike train of step4's depth 12
+    takes 24 scalar steps.  Larger
     tables of fewer than 8 columns take ``_batched_dp``: ``BATCH_STEPS``
     steps at a time, scored through distance panels, skip blocks of values
     certified below each step's maximum.  Wider tables take the full scan,
@@ -153,30 +165,49 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     codes, rows = _value_table(path)
     k, cols = rows.shape
     route = _table_dp if k <= TABLE_MAX_VALUES else _batched_dp if cols < 8 else _scan_dp
-    best, pred = route(codes, rows, path.space.norm, p)
+    best, pred, *runs = route(codes, rows, path.space.norm, p)
     if isinstance(pred, np.ndarray):  # the full scan's: walk Python ints
         pred = pred.tolist()
-    i, partition = len(codes) - 1, []
+    value = float(best[-1])
+    del best, codes  # before the partition's ints are made
+    return PVarResult(p=p, value=value, partition=_walk_back(pred, *runs))
+
+
+def _walk_back(pred: Sequence[int], runs: Sequence[tuple[int, int]] = ()) -> list[int]:
+    """The partition ending at the last sample along ``pred``, each run of
+    samples (first, last) taken in one range: their predecessors are the
+    samples before them."""
+    i, partition = len(pred) - 1, []
+    for first, last in reversed(runs):
+        while i > last:
+            partition.append(i)
+            i = pred[i]
+        if i >= first:
+            partition.extend(range(i, first - 1, -1))
+            i = first - 1
     while i:
         partition.append(i)
         i = pred[i]
     partition.append(0)
     partition.reverse()
-    return PVarResult(p=p, value=float(best[-1]), partition=partition)
+    return partition
 
 
-def _value_table(path: DiscretePath) -> tuple[Sequence[int], np.ndarray]:
+def _value_table(path: DiscretePath) -> tuple[range | np.ndarray, np.ndarray]:
     """Each sample's code and the distinct rows, numbered by first appearance.
 
     The rows of the path's distinct value objects are grouped by float ==
     (so -0.0 and 0.0 are one value), and their codes taken through the
     path's: the table grouping every sample's row would give, bit for bit.
+    Codes come as the path's array (or a range), for routes to read as they
+    need.
     """
     sub, rows = _distinct_rows(path.distinct_matrix())
     codes = path.codes
-    if not isinstance(sub, range):  # equal rows under distinct objects
+    if not isinstance(sub, range):  # equal rows under distinct objects, coded in bytes if few
+        sub = sub.astype(np.min_scalar_type(len(rows) - 1))
         codes = sub if isinstance(codes, range) else sub[codes]
-    return (codes if isinstance(codes, range) else codes.tolist()), rows
+    return codes, rows
 
 
 def _first_reaching(r: int, g: float, v: float, link, best) -> int:
@@ -185,42 +216,127 @@ def _first_reaching(r: int, g: float, v: float, link, best) -> int:
     V never falls along the samples of one value (a repeat adds 0); each
     sample that raised its value's best links to the previous one.
     """
-    while link[r] >= 0 and best[link[r]] + g == v:
-        r = link[r]
+    j = link[r]
+    while j >= 0 and best[j] + g == v:
+        r, j = j, link[j]
     return r
 
 
-def _table_dp(codes: Sequence[int], rows: np.ndarray, kind, p: float):
-    """``_scan_dp`` in Python floats over table[c][t] = d(value t, value c)^p."""
+def _table_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
+    """``_scan_dp`` in Python floats over table[c][t] = d(value t, value c)^p.
+
+    Alternating stretches of at least ``RUN_MIN`` steps are offered to
+    ``_take_run`` a window at a time: ``RUN_STEPS`` steps, doubling while
+    whole windows are taken, to ``RUN_CAP``.  The step a window stops at
+    goes to the scalar step, and so does every other step.  Returns best,
+    pred and the runs taken, (first, last) sample pairs within which each
+    sample's predecessor is the one before it (pred is left 0 there).
+    """
     buf = block_buffer(*rows.shape)
     table = [(row_distances(rows, x, kind, buf) ** p).tolist() for x in rows]
     s = len(codes)
     top, arg = [0.0], [0]  # best V and its smallest index, per value seen
-    link, best, pred = [-1] * s, [0.0] * s, [0] * s
-    for i in range(1, s):
-        c = codes[i]
-        gain = table[c]
-        cand = list(map(add, top, gain))
-        v = max(cand)
-        t = cand.index(v)
-        j = _first_reaching(arg[t], gain[t], v, link, best)
-        if cand.count(v) > 1:  # other values tie: the smallest index wins
-            for u in range(t + 1, len(cand)):
-                if cand[u] == v:
-                    j = min(j, _first_reaching(arg[u], gain[u], v, link, best))
-        best[i] = v
-        pred[i] = j
-        if c == len(top):
-            top.append(v)
-            arg.append(i)
-        elif v > top[c]:
-            link[i] = arg[c]
-            top[c] = v
-            arg[c] = i
-    return best, pred
+    stretches = _alternations(codes)
+    # where runs can take most steps, typed arrays hold no object a sample
+    # and take a run in one copy; elsewhere lists read faster, step by step
+    if 2 * sum(hi - lo for lo, hi in stretches) > s:
+        link, best, pred = array("q", [-1]) * s, array("d", [0.0]) * s, array("q", [0]) * s
+    else:
+        link, best, pred = [-1] * s, [0.0] * s, [0] * s
+    runs = []
+    stretches = iter(stretches)
+    lo, hi = next(stretches, (s, s))  # the next window starts at step lo
+    i, window, seen = 1, RUN_STEPS, 1
+    while True:
+        span = codes[i:lo]
+        for i, c in zip(range(i, lo), span if isinstance(span, range) else span.tolist()):
+            gain = table[c]
+            cand = list(map(add, top, gain))
+            v = max(cand)
+            t = cand.index(v)
+            j = _first_reaching(arg[t], gain[t], v, link, best)
+            ties = cand.count(v) - 1
+            while ties:  # other values tie: the smallest index wins
+                t = cand.index(v, t + 1)
+                j = min(j, _first_reaching(arg[t], gain[t], v, link, best))
+                ties -= 1
+            best[i] = v
+            pred[i] = j
+            if c == seen:
+                top.append(v)
+                arg.append(i)
+                seen += 1
+            elif v > top[c]:
+                link[i] = arg[c]
+                top[c] = v
+                arg[c] = i
+        if lo == s:
+            break
+        i, w, taken = lo, min(window, hi - lo), 0
+        b, a = codes[i - 1 : i + 1].tolist()
+        if arg[b] == i - 1:  # the previous sample holds b's best (so top[b] is its V)
+            taken = _take_run(table, top, arg, link, best, i, a, b, w)
+        if taken:
+            if runs and runs[-1][1] == i - 1:
+                runs[-1] = (runs[-1][0], i + taken - 1)
+            else:
+                runs.append((i, i + taken - 1))
+        if taken == w:
+            lo, window = i + w, min(2 * window, RUN_CAP)
+        else:  # step i + taken goes to the scalar step
+            lo, window = i + taken + 1, RUN_STEPS
+        i += taken
+        if hi - lo < RUN_MIN:
+            lo, hi = next(stretches, (s, s))
+    return best, pred, runs
 
 
-def _batched_dp(codes: Sequence[int], rows: np.ndarray, kind, p: float):
+def _alternations(codes: range | np.ndarray) -> list[tuple[int, int]]:
+    """The steps [lo, hi) of each stretch of at least ``RUN_MIN`` steps whose
+    samples repeat the value of two samples back but not of the last."""
+    if isinstance(codes, range):  # every value distinct
+        return []
+    alt = (codes[2:] == codes[:-2]) & (codes[2:] != codes[1:-1])
+    edges = np.flatnonzero(np.diff(alt, prepend=False, append=False)) + 2
+    lo, hi = edges[::2], edges[1::2]
+    keep = hi - lo >= RUN_MIN
+    return list(zip(lo[keep].tolist(), hi[keep].tolist()))
+
+
+def _take_run(table, top, arg, link, best, i: int, a: int, b: int, w: int) -> int:
+    """Take steps i, i + 1, ... of a stretch alternating a, b, a, ... that
+    sample i - 2 began, sample i - 1 holding b's best; return how many.
+
+    A step is the scalar step's when the previous sample's candidate, V +
+    g, beats strictly its own value's best: top[a] on the first step, then
+    the V of two samples back.  That best was taken over every value's
+    candidate at its sample's step, and the other values' bests stay put
+    along the stretch; so the candidate is the only maximum, and it raises
+    its value's best.  ``_first_reaching`` from it stops at once: its
+    link's V + g is a candidate an earlier step took into that own best,
+    so it falls below V.  V comes from one accumulate over the gains, which
+    adds left to right, rounding each sum once, as the scalar + does.  Up
+    to ``w`` steps are tried and the longest prefix that holds is taken.
+    """
+    g = np.empty(w + 1)
+    g[0], g[1::2], g[2::2] = best[i - 1], table[a][b], table[b][a]
+    with np.errstate(over="ignore"):  # an infinite V beats nothing
+        v = np.add.accumulate(g)  # V of samples i - 1, i, ...
+    own = np.empty(w)
+    own[0], own[1:] = top[a], v[: w - 1]
+    ok = v[1:] > own
+    taken = w if ok.all() else int(ok.argmin())
+    if taken:
+        best[i : i + taken] = array("d", v[1 : taken + 1].tobytes())
+        link[i], link[i + 1 : i + taken] = arg[a], array("q", range(i - 1, i + taken - 2))
+        last = i + taken - 1
+        for x in (last - 1, last) if taken > 1 else (last,):
+            c = b if (x - i) % 2 else a
+            top[c], arg[c] = best[x], x
+    return taken
+
+
+def _batched_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
     """The DP on tables of fewer than 8 columns, ``BATCH_STEPS`` steps at a time.
 
     Blocks of consecutive codes (values first seen close together) center on
@@ -324,8 +440,9 @@ def _static_best(table, idx, pts, kind, p: float, top, buf, chunk: int):
     return [x if x is None else x.tolist() for x in (v, t, g, c)]
 
 
-def _scan_dp(codes: Sequence[int], rows: np.ndarray, kind, p: float):
+def _scan_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
     """The DP differencing the current sample from the values each step."""
+    codes = codes if isinstance(codes, range) else codes.tolist()
     s = len(codes)
     k, cols = rows.shape
     buf = block_buffer(k, cols)  # reused by every step

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvarkit import operators, spaces
+from pvarkit import lab, operators, spaces
 from pvarkit.errors import (
     DomainMismatch,
     InvalidAlpha,
@@ -604,6 +604,38 @@ def reference_violators(f, p, q, M, candidates, count):
             return pairs, n
         pairs.append(hit)
     return pairs, None
+
+
+@pytest.mark.parametrize("kind", [L1, L2, LINF])
+def test_violator_search_on_one_column_scores_no_pair_alone(kind, monkeypatch):
+    # one distance panel per side gives diff_norm's bits: the same pairs as
+    # the pair loop, with points at distance zero (0, -0.0 and 1e-200 under
+    # l2) never a pair
+    xs = [0.0, -0.0, 1e-200, 2.0 ** -20, 0.25, 0.25, -1e-9, 2.0 ** -30, 0.5, 1.0, -2.0]
+    ladder = [0.0, 0.0] + [2.0 ** -j for j in range(48)]  # the pair moves with n
+    # rough at 0 and at 1: (1, 2) qualifies before (0, 3) by columns, not by rows
+    twin = Generator.custom(
+        lambda v: Vector.dense([abs(v.data[0]) ** 0.25 + abs(v.data[0] - 1.0) ** 0.25], kind)
+    )
+    calls = []
+    monkeypatch.setattr(lab, "diff_norm", lambda u, w: calls.append(1) or diff_norm(u, w))
+    for f, p, q, points in [
+        (Generator.power(0.25), 1.0, 2.0, xs),
+        (Generator.power(0.1), 1.5, 3.0, xs),
+        (Generator.power(0.25), 1.0, 2.0, ladder),
+        (twin, 1.0, 2.0, [0.0, 1.0, 1.0 + 2.0 ** -40, 2.0 ** -40]),
+    ]:
+        candidates = [Vector.dense([x], kind) for x in points]
+        M = max(norm(f(v)) for v in candidates)
+        want, stop = reference_violators(f, p, q, M, candidates, 12)
+        got = find_holder_violators(f, p, q, M, candidates, stop - 1 if stop else 12)
+        assert [(u is a and w is b) for (u, w), (a, b) in zip(got, want)] == [True] * len(want)
+        assert len(got) == len(want) > 0
+    assert calls == []
+    wide = [Vector.dense([x, 1.0], kind) for x in points]  # two columns keep the loop
+    with pytest.raises(NoViolatorFound):
+        find_holder_violators(Generator.identity(), 1.0, 2.0, 3.0, wide, 1)
+    assert calls
 
 
 @pytest.mark.parametrize(

@@ -269,13 +269,35 @@ def batched_route(steps=None, block=None):
         yield
 
 
+@contextmanager
+def run_route(cap=2):
+    """pvar's gain-table route on tables of every size, offering every
+    alternating stretch to the run shortcut in windows of 1 step doubling
+    to ``cap``, so short paths take, stop and resume runs."""
+    with table_route(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variation, "RUN_MIN", 1)
+        patch.setattr(variation, "RUN_STEPS", 1)
+        patch.setattr(variation, "RUN_CAP", cap)
+        yield
+
+
+@contextmanager
+def no_run_route():
+    """pvar's gain-table route on tables of every size, every step scalar."""
+    with table_route(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variation, "RUN_MIN", MAX_SAMPLES + 1)
+        yield
+
+
 # tables of fewer than 8 columns take the batched route where the full
 # scan or pruning is forced
-ROUTES = (full_scan_route, table_route, pruned_route, batched_route)
+ROUTES = (full_scan_route, table_route, pruned_route, batched_route, run_route)
 # batches and blocks small enough that paths of a few samples cross their
-# edges, end in a partial block and repeat values within a batch
+# edges, end in a partial block and repeat values within a batch; run
+# windows of at most 1-3 steps
 TINY = [(steps, block) for steps in (1, 2, 3) for block in (1, 2)]
 TINY_ROUTES = tuple(partial(batched_route, steps, block) for steps, block in TINY)
+TINY_ROUTES += tuple(partial(run_route, cap) for cap in (1, 2, 3))
 
 
 @st.composite
@@ -300,15 +322,21 @@ def repeating_paths(draw, max_increments=16, extremes=False):
     return DiscretePath([float(t) for t in range(len(values))], values), p, tiny
 
 
+def tiny_routes(tiny):
+    """The batched route at the drawn batch and block, and the run shortcut
+    with the drawn batch as its window cap."""
+    return (partial(batched_route, *tiny), partial(run_route, tiny[0]))
+
+
 def check_equals_bruteforce(path, p, tiny):
-    for route in ROUTES + (partial(batched_route, *tiny),):
+    for route in ROUTES + tiny_routes(tiny):
         with route():
             assert pvar(path, p).value == pvar_bruteforce(path, p).value
 
 
 def check_partition_matches_reference(path, p, tiny):
     expected = reference_pvar(path, p)
-    for route in ROUTES + (partial(batched_route, *tiny),):
+    for route in ROUTES + tiny_routes(tiny):
         with route():
             res = pvar(path, p)
         part = res.partition
@@ -566,3 +594,113 @@ def test_wide_example3_paths_still_prune(monkeypatch):
     res = pvar(path, 1.0)
     assert taken == ["_scan_dp"] and sum(rows) <= 3 * len(path)
     assert res.value == partition_sum(path, res.partition, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the table route's run shortcut on alternating stretches
+
+
+@st.composite
+def alternating_paths(draw):
+    """Paths of up to 300 samples over 2-4 values, mostly long stretches
+    alternating two of them, with whole-number and signed-zero coordinates
+    (ties), values near each other next to values far apart (gains a V
+    absorbs), values shared by object or copied per sample, and an exponent."""
+    cols = draw(st.integers(1, 2))
+    coord = st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 2.0, 3.0, 0.25, 0.5, 0.5 + 2.0 ** -53, 1.5 + 2.0 ** -52, 1e-300, 1e8]
+    )
+    pool = draw(st.lists(st.lists(coord, min_size=cols, max_size=cols), min_size=2, max_size=4))
+    kind = draw(st.sampled_from([L1, L2, LINF, LP(1.5)]))
+    objects = [Vector.dense(row, norm=kind) for row in pool]
+    picks = [0]
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(st.integers(0, len(pool) - 1)), draw(st.integers(0, len(pool) - 1))
+        stretch = draw(st.sampled_from(["alternate", "constant", "random"]))
+        m = draw(st.integers(1, 60))
+        if stretch == "alternate":
+            picks += [a, b] * m
+        elif stretch == "constant":
+            picks += [a] * m
+        else:
+            picks += draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+    shared = draw(st.booleans())
+    values = [objects[c] if shared else Vector.dense(pool[c], norm=kind) for c in picks[:300]]
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 40.0]))  # 40: gains that underflow
+    return DiscretePath([float(t) for t in range(len(values))], values), p
+
+
+@given(alternating_paths())
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # 1e8 ** 40
+def test_runs_give_the_scalar_steps_value_and_partition(case):
+    path, p = case
+    with no_run_route():
+        want = pvar(path, p)
+    for route in (table_route, *(partial(run_route, cap) for cap in (1, 2, 3))):
+        with route():
+            res = pvar(path, p)
+        assert (res.value.hex(), res.partition) == (want.value.hex(), want.partition)
+
+
+@pytest.mark.parametrize(
+    "xs, p",
+    [
+        # gains of a few ulps and below, where V + g rounds to V or ties
+        ([0.5 + 2.0 ** -53, 0.25, 0.5 + 2.0 ** -53, 0.5, 0.5 + 2.0 ** -53], 3.0),
+        ([1e-17, 1e-17, 1.5, 1.5 + 2.0 ** -52, 1.5, 1.5 + 2.0 ** -52], 2.0),
+        ([1.5, 2.0 + 2.0 ** -51] * 2 + [1.5, 1.5 + 2.0 ** -52] * 3 + [1.5, 1.5, 1.5], 2.0),
+        ([1e-17, 1e-17] + [0.0, 1e-17] * 3 + [0.0, 0.5 + 2.0 ** -53] * 2 + [0.0], 2.0),
+    ],
+)
+def test_runs_stop_where_gains_are_absorbed(xs, p):
+    path = scalar_path(xs)
+    with no_run_route():
+        want = pvar(path, p)
+    for cap in (1, 2, 3):
+        with run_route(cap):
+            res = pvar(path, p)
+        assert (res.value.hex(), res.partition) == (want.value.hex(), want.partition)
+
+
+def test_long_alternation_takes_few_scalar_steps(monkeypatch):
+    # 40,000 samples of two values: runs of up to RUN_CAP steps take all
+    # but the first step
+    path = scalar_path([0.0, 1.0] * 20000)
+    steps = []
+    first_reaching = variation._first_reaching
+
+    def counted(*args):
+        steps.append(1)
+        return first_reaching(*args)
+
+    monkeypatch.setattr(variation, "_first_reaching", counted)
+    for p in (1.0, 2.0):
+        res = pvar(path, p)
+        assert res.value == 39999.0 and res.partition == list(range(40000))
+    assert len(steps) < 100
+    steps.clear()
+    with no_run_route():
+        assert pvar(path, 2.0) == res
+    assert len(steps) == 39999
+
+
+def test_accumulate_adds_left_to_right():
+    # run V comes from np.add.accumulate: each prefix sum must round once,
+    # in order, as the scalar steps' + does, whatever numpy's version
+    rng = np.random.default_rng(8)
+    pools = [
+        [1e300, 7e299, -3e299, 1e-300, 2.5],  # sums near overflow, and back
+        [5e-324, 1e-310, -2.2e-308, 3e-320, 0.0, -0.0],  # subnormals
+        [1.0, 1e-16, -1e-16, 3.3333333333333335, -2.0],  # mixed signs, rounding
+    ]
+    for pool in pools:
+        for n in (1, 2, 7, 8, 9, 33, 1025):
+            g = rng.choice(pool, n)
+            want, total = [], 0.0
+            for x in g.tolist():
+                total = total + x if want else x
+                want.append(total)
+            with np.errstate(over="ignore"):
+                got = np.add.accumulate(g)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
