@@ -20,6 +20,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 from typing import Sequence
 
@@ -84,11 +85,19 @@ class PVarResult:
 
     ``partition`` lists sample indices, starts at 0, ends at the last
     index, and realises ``value`` as its sum of p-th increment powers.
+    ``pvar`` walks it back when it is first read, so callers that keep
+    only the value never build it.
     """
 
     p: float
     value: float
     partition: list[int]
+
+    def __getattr__(self, name):  # only for attributes not set
+        if name != "partition" or "_walk" not in self.__dict__:
+            raise AttributeError(name)
+        self.partition = self.__dict__.pop("_walk")()
+        return self.partition
 
     def to_json(self) -> dict:
         return {"p": self.p, "value": self.value, "partition": list(self.partition)}
@@ -142,7 +151,8 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     """Exact p-variation of ``path`` by dynamic programming.
 
     Solves V[i] = max_{j<i} V[j] + d(j, i)^p with V[0] = 0 and backtracks
-    one optimising partition.  The recurrence depends on j only through
+    one optimising partition, when the result's ``partition`` is first
+    read.  The recurrence depends on j only through
     its value, so each step scans the distinct values seen so far with the
     best V of each: O(n k d) for k distinct values.  Ties go to the
     smallest predecessor index, so the output is deterministic.
@@ -168,9 +178,9 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     best, pred, *runs = route(codes, rows, path.space.norm, p)
     if isinstance(pred, np.ndarray):  # the full scan's: walk Python ints
         pred = pred.tolist()
-    value = float(best[-1])
-    del best, codes  # before the partition's ints are made
-    return PVarResult(p=p, value=value, partition=_walk_back(pred, *runs))
+    result = PVarResult.__new__(PVarResult)  # its partition walked back when read
+    result.p, result.value, result._walk = p, float(best[-1]), partial(_walk_back, pred, *runs)
+    return result
 
 
 def _walk_back(pred: Sequence[int], runs: Sequence[tuple[int, int]] = ()) -> list[int]:

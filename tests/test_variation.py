@@ -663,6 +663,18 @@ def test_runs_stop_where_gains_are_absorbed(xs, p):
         assert (res.value.hex(), res.partition) == (want.value.hex(), want.partition)
 
 
+def test_partition_is_walked_back_when_first_read(monkeypatch):
+    walks = []
+    walk_back = variation._walk_back
+    monkeypatch.setattr(variation, "_walk_back", lambda *a: walks.append(1) or walk_back(*a))
+    path = scalar_path([0.0, 1.0, 0.0, 2.0, 1.0] * 3)
+    res = pvar(path, 2.0)
+    assert walks == [] and not hasattr(res, "other") and walks == []
+    assert res.partition == reference_pvar(path, 2.0)[1] and walks == [1]
+    assert res.partition is res.partition and walks == [1]
+    assert res == PVarResult(2.0, res.value, res.partition) == pvar(path, 2.0)
+
+
 def test_long_alternation_takes_few_scalar_steps(monkeypatch):
     # 40,000 samples of two values: runs of up to RUN_CAP steps take all
     # but the first step
