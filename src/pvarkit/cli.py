@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
 
-from .errors import NoViolatorFound, PvarkitError
+from .errors import NoViolatorFound, PathInvariantError, PvarkitError
 from .lab import (
     SPIKE_CAP,
     _check_depth,
@@ -108,6 +109,10 @@ def _load_points(path: str) -> list[Vector]:
 def cmd_pvar(args) -> int:
     path = _load_path(args.input)
     result = pvar(path, args.p)
+    if not math.isfinite(result.value):  # JSON has no infinity to write
+        raise PathInvariantError(
+            "the p-variation is %r: the p-th powers of the path's increments overflow" % result.value
+        )
     _dump_json(result.to_json(), args.out)
     print(
         "p-variation (p=%g) of %d samples: %.17g  (partition of %d points) -> %s"

@@ -519,10 +519,11 @@ def _transfer_slack(n: int, p: float, q: float, pcols: int, icols: int) -> float
 def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int:
     """Greedy covering-number diagnostic: within factor 2 of optimal.
 
-    Walks the points in order; each point not within ``eps`` of an existing
-    center becomes one.  Returns the number of centers.  A
-    :class:`DiscretePath` stands for its values and lends its cached
-    coordinate embedding.
+    The first point no center covers within ``eps`` becomes the next
+    center, and one distance call drops the later points it covers: the
+    centers a walk over the points in order would pick, bit for bit.
+    Returns the number of centers.  A :class:`DiscretePath` stands for its
+    values and lends its cached coordinate embedding.
     """
     eps = float(eps)
     if not eps > 0.0:
@@ -535,11 +536,9 @@ def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int
             return 0
         mat, kind = coordinate_matrix(points), points[0].space.norm
     buf = block_buffer(mat.shape[0], mat.shape[1])
-    centers: list[int] = []
-    for i in range(mat.shape[0]):
-        if centers:
-            dists = row_distances(mat[centers], mat[i], kind, buf)
-            if float(dists.min()) <= eps:
-                continue
-        centers.append(i)
-    return len(centers)
+    left, centers = np.arange(mat.shape[0]), 0
+    while left.size:
+        c, left = left[0], left[1:]
+        left = left[row_distances(mat, mat[c], kind, buf, left) > eps]
+        centers += 1
+    return centers

@@ -37,6 +37,7 @@ __all__ = [
     "row_norms",
     "block_buffer",
     "row_distances",
+    "step_distances",
     "panel_distances",
     "MAX_EMBED_BYTES",
 ]
@@ -382,34 +383,36 @@ def coordinate_matrix(vectors: Sequence[Vector]) -> np.ndarray:
 
 
 def _embed(vectors: Sequence[Vector]) -> np.ndarray:
-    """``coordinate_matrix`` of vectors known to share one space."""
+    """``coordinate_matrix`` of vectors known to share one space.
+
+    Sparse entries scatter into the sorted union of supports a chunk of rows
+    at a time, in row order.  An entry's column is its index's offset from
+    the first if the union is contiguous, else found by a search.
+    """
     space = vectors[0].space
     if space.kind == "dense":
-        cols = space.dim
-    else:
-        support = sorted(set().union(*(v.data.keys() for v in vectors)))
-        cols = len(support)
-    _check_embed_size(len(vectors), cols)
-    if space.kind == "dense":
+        _check_embed_size(len(vectors), space.dim)
         return np.array([v.data for v in vectors])
-    # one scatter per chunk of rows: entries in row order, each column found
-    # in the support; a chunk's index arrays stay within a few blocks
+    datas = [v.data for v in vectors]
+    support = sorted(set().union(*datas))
+    cols = len(support)
+    _check_embed_size(len(vectors), cols)
     dtype = np.int64 if not support or support[-1] < 2 ** 63 else object
+    contiguous = bool(support) and support[-1] - support[0] == cols - 1
     support = np.array(support, dtype=dtype)
     out = np.zeros((len(vectors), cols))
-    step = _block_rows(cols)
-    for a in range(0, len(vectors), step):
-        chunk = vectors[a : a + step]
-        lens = np.fromiter((len(v.data) for v in chunk), dtype=np.intp, count=len(chunk))
+    step = _block_rows(cols)  # a chunk's index arrays stay within a few blocks
+    for a in range(0, len(datas), step):
+        chunk = datas[a : a + step]
+        lens = np.fromiter(map(len, chunk), dtype=np.intp, count=len(chunk))
         total = int(lens.sum())
-        keys = np.fromiter(
-            chain.from_iterable(v.data.keys() for v in chunk), dtype=dtype, count=total
-        )
+        keys = np.fromiter(chain.from_iterable(chunk), dtype=dtype, count=total)
         coords = np.fromiter(
-            chain.from_iterable(v.data.values() for v in chunk), dtype=float, count=total
+            chain.from_iterable(d.values() for d in chunk), dtype=float, count=total
         )
         rows = np.repeat(np.arange(a, a + len(chunk)), lens)
-        out[rows, np.searchsorted(support, keys)] = coords
+        at = (keys - support[0]).astype(np.intp) if contiguous else np.searchsorted(support, keys)
+        out[rows, at] = coords
     return out
 
 
@@ -473,6 +476,22 @@ def _block_distances(rows, x, kind, buf, index, a, b) -> np.ndarray:
         diff = np.take(rows, index[a:b], axis=0, out=buf[: b - a], mode="clip")
         np.subtract(diff, x, out=diff)
     return _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+
+
+def step_distances(rows: np.ndarray, at, kind: NormKind) -> np.ndarray:
+    """Norm of ``rows[at[i]] - rows[at[i + 1]]`` for every i, a block at a time.
+
+    Each has the bits :func:`row_distances` gives it, the difference taken,
+    made absolute and reduced as a row, whichever block it falls in.
+    """
+    at = np.asarray(at)
+    n, step = max(len(at) - 1, 0), _block_rows(rows.shape[1])
+    out = np.empty(n)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        diff = rows[at[a:b]] - rows[at[a + 1 : b + 1]]
+        out[a:b] = _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
+    return out
 
 
 def panel_distances(rows: np.ndarray, x: np.ndarray, kind: NormKind, buf) -> np.ndarray:

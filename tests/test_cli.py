@@ -7,11 +7,12 @@ diagnostics are asserted directly.
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pvarkit import cli, operators, spaces
+from pvarkit import cli, operators, spaces, variation
 from pvarkit.cli import EXIT_CLAIM, EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
 from pvarkit.errors import TooLarge
 from pvarkit.lab import gen_example3
@@ -170,6 +171,37 @@ def test_shared_non_finite_object_exits_3(tmp_path, capsys, monkeypatch, bad):
     assert main(["compose", "--input", inp, "--gen", gen, "--out", str(out)]) == EXIT_INVARIANT
     assert "values must have finite coordinates" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["table", "batched", "scan", "pruned"])
+def test_overflowing_pvar_exits_3_without_a_warning(tmp_path, capsys, monkeypatch, route):
+    # steps of about 1e8 at p = 40: every power overflows, on each route;
+    # JSON has no infinity, so nothing is written, and numpy stays quiet
+    n, dim = (40, 1) if route == "table" else (100, 1 if route == "batched" else 8)
+    if route == "pruned":
+        monkeypatch.setattr(variation, "PRUNE_MIN_VALUES", 0)
+        monkeypatch.setattr(variation, "PRUNE_MIN_WORK", 0)
+    xs = [1.0 if t % 2 == 0 else -1e8 for t in range(n)]
+    if route != "table":  # every value distinct: past the gain table
+        xs = [x + t for t, x in enumerate(xs)]
+    doc = {
+        "interval": [0.0, n - 1.0],
+        "times": [float(t) for t in range(n)],
+        "space": {"kind": "dense", "dim": dim, "norm": "l2"},
+        "values": [{"dense": [x] * dim} for x in xs],
+    }
+    inp = write_json(tmp_path / "p.json", doc)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pvar", "--input", inp, "--p", "40", "--out", str(out)]) == EXIT_INVARIANT
+        assert pvar(cli._load_path(inp), 40.0).value == math.inf  # the library keeps inf
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "invariant violation: the p-variation is inf: "
+        "the p-th powers of the path's increments overflow\n"
+    )
+    assert captured.out == "" and not out.exists()
 
 
 # var_q = L_hat^2 var_p in real arithmetic; the floats miss it by 4.8e-7

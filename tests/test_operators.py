@@ -322,6 +322,46 @@ def test_epsilon_covering_counts():
         assert epsilon_covering(path, eps) == epsilon_covering(path.values, eps)
 
 
+def greedy_walk(mat, kind, eps):
+    """Centers of a walk over the points in order: each point that no earlier
+    center covers within eps becomes one."""
+    centers = []
+    for i in range(mat.shape[0]):
+        buf = spaces.block_buffer(len(centers), mat.shape[1])
+        if not centers or spaces.row_distances(mat[centers], mat[i], kind, buf).min() > eps:
+            centers.append(i)
+    return len(centers)
+
+
+@st.composite
+def covering_cases(draw):
+    """Narrow, wide or sparse points over a few coordinates, and a radius,
+    often one of their exact distances."""
+    kind = draw(st.sampled_from([L1, L2, LINF, LP(1.5)]))
+    family = draw(st.sampled_from(["narrow", "wide", "sparse"]))
+    coord = st.sampled_from([0.0, -0.0, 0.1, 1.0, -1.0, 2.5, 1e-3, 3.0 ** 0.5])
+    n = draw(st.integers(1, 30))
+    if family == "sparse":
+        entries = st.dictionaries(st.integers(1, 12), coord, max_size=5)
+        points = [Vector.sparse(e, norm=kind) for e in draw(st.lists(entries, min_size=n, max_size=n))]
+    else:
+        dim = draw(st.integers(1, 7) if family == "narrow" else st.integers(8, 20))
+        rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n, max_size=n))
+        points = [Vector.dense(r, norm=kind) for r in rows]
+    mat = coordinate_matrix(points)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    exact = float(spaces.row_norms(mat[i : i + 1] - mat[j], kind)[0])
+    eps = exact if exact > 0.0 and draw(st.booleans()) else draw(st.floats(1e-3, 5.0))
+    return points, mat, kind, eps
+
+
+@given(covering_cases())
+@settings(max_examples=400, deadline=None)
+def test_covering_picks_the_walks_centers(case):
+    points, mat, kind, eps = case
+    assert epsilon_covering(points, eps) == greedy_walk(mat, kind, eps)
+
+
 def test_bound_report_json():
     path = scalar_path([0.0, 1.0, 0.5])
     rep = composition_bound_check(Generator.identity(), path, 1.0, 2.0)

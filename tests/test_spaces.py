@@ -22,6 +22,7 @@ from pvarkit.spaces import (
     norm,
     panel_distances,
     row_distances,
+    step_distances,
 )
 
 NORMS = [L1, L2, LINF, LP(1.5), LP(3.0)]
@@ -203,6 +204,55 @@ def test_sparse_embedding_matches_entrywise_fill(rng):
             for idx, c in v.data.items():
                 expected[i, support.index(idx)] = c
         assert np.array_equal(coordinate_matrix(vs), expected)
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize("first", [1, 1000, 2 ** 63 - 5, 2 ** 63, 2 ** 70])
+def test_sparse_embedding_takes_contiguous_supports_by_offset(first, contiguous, rng):
+    # a contiguous support takes each column as the index's offset from its
+    # first, without a search; a gapped one searches; huge indices (from
+    # 2^63 on) ride an object key array either way
+    gaps = np.ones(12, dtype=int) if contiguous else rng.integers(1, 4, 12)
+    indices = [first + int(g) for g in np.cumsum(gaps) - gaps[0]]
+    vs = []
+    for _ in range(40):
+        idx = rng.choice(12, size=int(rng.integers(0, 6)), replace=False)
+        vs.append(Vector.sparse({indices[i]: float(rng.standard_normal()) for i in idx}, norm=L1))
+    vs.append(Vector.sparse({i: 1.0 for i in indices}, norm=L1))  # every index in the support
+    expected = np.zeros((len(vs), 12))
+    for i, v in enumerate(vs):
+        for idx, c in v.data.items():
+            expected[i, indices.index(idx)] = c
+    assert np.array_equal(coordinate_matrix(vs), expected)
+    searched = np.searchsorted
+    found = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces.np, "searchsorted", lambda *a: found.append(1) or searched(*a))
+        coordinate_matrix(vs)
+    assert bool(found) != contiguous
+
+
+@pytest.mark.parametrize("kind", [L1, L2, LINF, LP(1.5)])
+@pytest.mark.parametrize("cols", [8, 9, 17, 64, 129, 1501])
+def test_step_distances_keep_the_row_distance_bits(kind, cols, monkeypatch):
+    # every step's distance in one pass: the bits, and the bits of each
+    # power, that one indexed row_distances call gives it, at magnitudes 1e+-5
+    rng = np.random.default_rng(cols)
+    rows = rng.standard_normal((30, cols)) * 10.0 ** rng.integers(-5, 6, (30, cols))
+    at = rng.integers(0, 30, 50)
+    at[10:13] = at[9]  # repeats: distance 0
+    buf = block_buffer(30, cols)
+    one = np.array([row_distances(rows, rows[c], kind, buf, [b])[0] for b, c in zip(at, at[1:])])
+    for block in (8 * cols, 3 * 8 * cols, spaces.BLOCK_BYTES):  # 1 and 3 rows, the default
+        monkeypatch.setattr(spaces, "BLOCK_BYTES", block)
+        got = step_distances(rows, at, kind)
+        assert got.tobytes() == one.tobytes()
+        assert step_distances(rows, at.tolist(), kind).tobytes() == one.tobytes()
+        for p in (1.0, 1.5, 3.0):
+            powers = [(row_distances(rows, rows[c], kind, buf, [b]) ** p)[0] for b, c in zip(at, at[1:])]
+            assert (got ** p).tobytes() == np.array(powers).tobytes()
+    assert step_distances(rows, range(30), kind).tobytes() == step_distances(rows, np.arange(30), kind).tobytes()
+    assert step_distances(rows, [3], kind).size == 0
 
 
 @pytest.mark.parametrize("kind", NORMS)

@@ -517,12 +517,13 @@ def test_distance_bounds_stay_above_computed_distances(kind, monkeypatch):
     direction = rng.standard_normal(300) * 10.0 ** rng.integers(-3, 4, 300)
     rows = np.cumsum(rng.uniform(0.1, 1.0, 80))[:, None] * direction
     path = DiscretePath([float(t) for t in range(80)], [Vector.dense(r, norm=kind) for r in rows])
+    table = path.distinct_matrix()  # every value distinct: the DP's table as is
     survivors = variation._DistanceBound.survivors
     scored = []
 
-    def checked(self, c, b, top):
-        live = survivors(self, c, b, top)
-        computed = spaces.row_distances(self.rows[: len(top)], self.rows[c], kind, self.buf)
+    def checked(self, i, c, b, top):
+        live = survivors(self, i, c, b, top)
+        computed = spaces.row_distances(table[: len(top)], table[c], kind, spaces.block_buffer(80, 300))
         assert np.all(computed <= self.ub[: len(top)])
         scored.append(len(live))
         return live
@@ -716,3 +717,74 @@ def test_accumulate_adds_left_to_right():
             with np.errstate(over="ignore"):
                 got = np.add.accumulate(g)
             assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+
+def grouped_by_value(mat):
+    """Codes by first appearance and those first rows, grouping rows by
+    float == through a dict of row tuples (0.0 and -0.0 are one key)."""
+    code, heads = {}, []
+    codes = [code.setdefault(tuple(row), len(code)) for row in mat.tolist()]
+    for i, c in enumerate(codes):
+        if c == len(heads):
+            heads.append(i)
+    return codes, mat[heads]
+
+
+@st.composite
+def row_tables(draw):
+    """A table of rows drawn from a small pool, zeros of either sign."""
+    cols = draw(st.sampled_from([0, 1, 2, 3, 8, 9, 40]))
+    coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e300, 2.0 ** 60])
+    pool = draw(st.lists(st.lists(coord, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    mat = np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), cols)
+    flips = np.array(draw(st.lists(st.booleans(), min_size=mat.size, max_size=mat.size)), dtype=bool)
+    mat[(mat == 0.0) & flips.reshape(mat.shape)] *= -1.0  # either zero, either sign
+    return mat
+
+
+def _same_grouping(got, want):
+    (codes, rows), (want_codes, want_rows) = got, want
+    assert list(codes) == list(want_codes)
+    assert rows.shape == want_rows.shape and rows.tobytes() == want_rows.tobytes()
+
+
+@given(row_tables(), st.sampled_from([8, 64, spaces.BLOCK_BYTES]))
+@settings(max_examples=300, deadline=None)
+def test_row_hashes_certify_the_lexsort_grouping(mat, block_bytes):
+    # distinct hashes return the table as is; colliding ones, here every
+    # multiplier zero, fall back to the sort: the same codes and rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "BLOCK_BYTES", block_bytes)
+        got = variation._distinct_rows(mat)
+        _same_grouping(got, grouped_by_value(mat))
+        patch.setattr(variation, "_hash_multipliers", lambda d: np.zeros(d, dtype=np.uint64))
+        _same_grouping(variation._distinct_rows(mat), got)
+
+
+def test_row_hashes_wrap_around_exactly(monkeypatch):
+    # uint64 products and sums wrap modulo 2^64, as Python ints reduced
+    # mod 2^64 do; rows equal under == (here by the sign of zero) hash alike
+    monkeypatch.setattr(spaces, "BLOCK_BYTES", 3 * 8 * 9)  # three rows to a block
+    rng = np.random.default_rng(15)
+    mat = rng.standard_normal((20, 9)) * 10.0 ** rng.integers(-300, 300, (20, 9))
+    mat[::4, ::2] = 0.0
+    twin = mat[1::4]
+    twin[...] = mat[::4]
+    twin[twin == 0.0] = -0.0  # the rows above, zeros of the other sign
+    mult = [int(c) for c in variation._hash_multipliers(9)]
+    assert all(c % 2 for c in mult) and len(set(mult)) == 9
+    want = []
+    for row in (mat + 0.0).view(np.uint64).tolist():
+        want.append(sum((x ^ x >> 52) * c for x, c in zip(row, mult)) % 2 ** 64)
+    got = variation._row_hashes(mat)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    assert np.array_equal(got[::4], got[1::4])
+
+
+def test_grouping_certificate_passes_wide_example3_tables(monkeypatch):
+    # every row of the embedding distinct: no sort, the table comes back as is
+    mat = gen_example3(300).distinct_matrix()
+    monkeypatch.setattr(np, "lexsort", None)  # fails if called
+    codes, rows = variation._distinct_rows(mat)
+    assert codes == range(len(mat)) and rows is mat
