@@ -163,14 +163,20 @@ def gen_example3(depth: int) -> DiscretePath:
     stays below 1 + sum 1/(i+1)^2 at every depth, yet the range keeps a
     sup-distance of 1/(j+1)^2 between piece j and everything after it, so
     no finite epsilon net ever stops growing as epsilon shrinks.
+
+    The path is built from its coordinate embedding, filled in one pass:
+    row k - 1 holds 1/j^2 in column j - 1 for j <= k (k^2 is exact in a
+    float, so numpy divides to Python's bits) and the last row is zero.
+    Its vectors are made only if ``distinct`` or ``values`` is read; the
+    times are ``gen_step2_path``'s.
     """
     depth = _check_depth(depth)
-    space = VectorSpace("sparse", LINF)
-    values, entries = [], {}
-    for k in range(1, depth + 1):
-        entries[k] = 1.0 / (k * k)
-        values.append(Vector(space, dict(entries)))
-    return gen_step2_path(values)
+    k = np.arange(1, depth + 1, dtype=float)
+    rows = np.zeros((depth + 1, depth))
+    np.copyto(rows[:depth], np.divide(1.0, k * k), where=np.tri(depth, dtype=bool))
+    return DiscretePath._from_rows(
+        _step2_times(depth), (0.0, 1.0), VectorSpace("sparse", LINF), rows, np.arange(1, depth + 1)
+    )
 
 
 def gen_step2_path(step_values: Sequence[Vector]) -> DiscretePath:
@@ -178,10 +184,12 @@ def gen_step2_path(step_values: Sequence[Vector]) -> DiscretePath:
     step_values = list(step_values)
     if not step_values:
         raise ValueError("need at least one step value")
-    times = [1.0 - 1.0 / n for n in range(1, len(step_values) + 1)]
-    times.append(1.0)
     values = step_values + [step_values[0].space.zero()]
-    return DiscretePath(times, values, (0.0, 1.0))
+    return DiscretePath(_step2_times(len(step_values)), values, (0.0, 1.0))
+
+
+def _step2_times(steps: int) -> list[float]:
+    return [1.0 - 1.0 / n for n in range(1, steps + 1)] + [1.0]
 
 
 def _spike_block(t0, t1, background, spike, m, times, values) -> None:

@@ -262,7 +262,9 @@ def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> Hol
     bit.  Ratios tied within the band are each re-scored, except at alpha
     = 1 with points and images of one column under l1, l2 or linf: there
     an array ratio is the scalar one, so the ties of the identity cost
-    nothing.  All points, and all images, must share one space.
+    nothing.  Of the pairs near the maximum whose ratio is final, a block
+    keeps only its first maximum.  All points, and all images, must share
+    one space.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -340,25 +342,31 @@ def _holder_scan(
             & (fixed | (gap >= nlo) & (gap <= nhi) & (ratio >= _SMALL) & (ratio <= _BIG))
         )
         exact = fixed | ~trusted | same
-        for f in (live & ~trusted).ravel().nonzero()[0].tolist():  # the scalar steps, row-major
-            r, c = divmod(f, m)
-            i, j = a + r, a + 1 + c
-            dist = diff_norm(points[i], points[j])
-            if dist == 0.0:
-                if images[i] == images[j]:
-                    live[r, c] = False
-                    continue
-                return HolderEstimate(
-                    alpha=alpha,
-                    constant=math.inf,
-                    witness=(points[i], points[j]),
-                    pair_count=count + int(np.count_nonzero(live.ravel()[:f])),
-                    infinite=True,
-                )
-            ratio[r, c] = scalar(i, j)
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, as in the pair loop
+            for f in (live & ~trusted).ravel().nonzero()[0].tolist():  # the scalar steps, row-major
+                r, c = divmod(f, m)
+                i, j = a + r, a + 1 + c
+                dist = diff_norm(points[i], points[j])
+                if dist == 0.0:
+                    if images[i] == images[j]:
+                        live[r, c] = False
+                        continue
+                    return HolderEstimate(
+                        alpha=alpha,
+                        constant=math.inf,
+                        witness=(points[i], points[j]),
+                        pair_count=count + int(np.count_nonzero(live.ravel()[:f])),
+                        infinite=True,
+                    )
+                ratio[r, c] = scalar(i, j)
         count += int(np.count_nonzero(live))
         top = max(top, float(ratio.max(where=live & ~np.isnan(ratio), initial=-math.inf)))
         rs, cs = (live & (ratio >= top * cut)).nonzero()  # row-major
+        settled = exact[rs, cs]  # ratios no re-score can change
+        if np.count_nonzero(settled) > 1:  # a later one never beats their first maximum
+            at = settled.nonzero()[0]
+            settled[at[ratio[rs[at], cs[at]].argmax()]] = False  # so it alone is kept
+            rs, cs = rs[~settled], cs[~settled]
         if rs.size:
             kept.append((rs + a, cs + (a + 1), ratio[rs, cs], exact[rs, cs]))
         a = b
@@ -369,8 +377,9 @@ def _holder_scan(
         rows, cols, ratios, scored = (np.concatenate(part) for part in zip(*kept))
         near = ratios >= top * cut  # against the final top
         rows, cols, ratios, scored = (part[near] for part in (rows, cols, ratios, scored))
-        for k in (~scored).nonzero()[0].tolist():
-            ratios[k] = scalar(int(rows[k]), int(cols[k]))
+        with np.errstate(over="ignore"):
+            for k in (~scored).nonzero()[0].tolist():
+                ratios[k] = scalar(int(rows[k]), int(cols[k]))
         ratios[np.isnan(ratios)] = -math.inf
         if ratios.size and ratios.max() > best:
             k = int(ratios.argmax())  # the first maximum in row-major order

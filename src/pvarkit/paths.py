@@ -30,11 +30,14 @@ class DiscretePath:
     The samples are grouped once, by value object: ``distinct`` holds the
     value objects in order of first appearance and ``codes`` each sample's
     index into it, ``range(len(path))`` when no object repeats.  Maps and
-    embeddings then run once per distinct object.
+    embeddings then run once per distinct object.  A path built from the
+    rows of its embedding (``_from_rows``) makes ``distinct`` from them on
+    first read; until then it holds no value object at all.
     """
 
     __slots__ = (
-        "interval", "times", "space", "distinct", "codes", "_values", "_embedding", "_matrix"
+        "interval", "times", "space", "codes", "_distinct", "_values", "_rows", "_embedding",
+        "_matrix",
     )
 
     def __init__(
@@ -43,32 +46,26 @@ class DiscretePath:
         values: Sequence[Vector],
         interval: tuple[float, float] | None = None,
     ):
-        times = np.array(times, dtype=float)
         values = list(values)
-        if times.ndim != 1 or times.size < 2:
-            raise PathInvariantError("at least 2 sample points required")
-        if times.size != len(values):
-            raise PathInvariantError("times and values must have equal length")
-        if not np.all(np.isfinite(times)):
-            raise PathInvariantError("times must be finite")
-        if not np.all(np.diff(times) > 0.0):
-            raise PathInvariantError("times not strictly increasing")
-        if times.size > MAX_SAMPLES:
-            raise PathInvariantError(
-                "path has %d samples, exceeding the sample cap %d"
-                % (times.size, MAX_SAMPLES)
-            )
-        if interval is None:
-            interval = (float(times[0]), float(times[-1]))
-        a, b = float(interval[0]), float(interval[1])
-        if not a < b:
-            raise PathInvariantError("interval must satisfy a < b")
-        if times[0] != a:
-            raise PathInvariantError("first time must equal the interval start")
-        if times[-1] != b:
-            raise PathInvariantError("last time must equal the interval end")
-        times.flags.writeable = False
-        self._fill(times, (a, b), *_group(values), values)
+        times, interval = _checked_times(times, len(values), interval)
+        self._fill(times, interval, *_group(values), values)
+
+    @classmethod
+    def _from_rows(cls, times, interval, space, rows: np.ndarray, index: np.ndarray):
+        """The path whose sample i is the sparse vector with coordinate
+        ``rows[i, j]`` at index ``index[j]``, every sample its own value.
+
+        ``rows`` is a (samples, columns) float matrix and ``index`` the
+        ascending positive indices of its columns, exactly the union of the
+        rows' supports: ``distinct_matrix()`` is then ``rows`` itself, as
+        the embedding of the vectors would give it bit for bit.  The vectors
+        are made on the first read of ``distinct`` or ``values``; the matrix
+        is checked, as any embedding, on the first read of it.
+        """
+        times, interval = _checked_times(times, rows.shape[0], interval)
+        out = object.__new__(cls)
+        out._fill(times, interval, None, range(rows.shape[0]), None, space, (rows, index))
+        return out
 
     def _mapped(self, images: list[Vector]) -> "DiscretePath":
         """The path on this time grid holding ``images[c]`` where this one
@@ -77,16 +74,16 @@ class DiscretePath:
         out._fill(self.times, self.interval, images, self.codes, None)
         return out
 
-    def _fill(self, times, interval, distinct, codes, values) -> None:
-        space = distinct[0].space
-        for v in _one_per_space(distinct):
-            if v.space != space:
-                raise PathInvariantError("values do not share one space")
-        if isinstance(codes, range):
-            values = distinct
+    def _fill(self, times, interval, distinct, codes, values, space=None, rows=None) -> None:
+        if space is None:
+            space = distinct[0].space
+            for v in _one_per_space(distinct):
+                if v.space != space:
+                    raise PathInvariantError("values do not share one space")
         for name, value in (
-            ("interval", interval), ("times", times), ("space", space), ("distinct", distinct),
-            ("codes", codes), ("_values", values), ("_embedding", None), ("_matrix", None),
+            ("interval", interval), ("times", times), ("space", space), ("codes", codes),
+            ("_distinct", distinct), ("_values", values), ("_rows", rows), ("_embedding", None),
+            ("_matrix", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -94,10 +91,25 @@ class DiscretePath:
         raise AttributeError("DiscretePath is immutable")
 
     @property
+    def distinct(self) -> list[Vector]:
+        """The value objects, by first appearance; from the rows, on first
+        read, for a path built from them."""
+        if self._distinct is None:
+            (rows, index), vectors = self._rows, []
+            for row in rows:
+                at = row.nonzero()[0]
+                vectors.append(Vector(self.space, dict(zip(index[at].tolist(), row[at].tolist()))))
+            object.__setattr__(self, "_distinct", vectors)
+        return self._distinct
+
+    @property
     def values(self) -> list[Vector]:
         """The value of each sample, ``distinct[codes[i]]`` at sample i."""
         if self._values is None:
-            values = list(map(self.distinct.__getitem__, self.codes.tolist()))
+            if isinstance(self.codes, range):
+                values = self.distinct
+            else:
+                values = list(map(self.distinct.__getitem__, self.codes.tolist()))
             object.__setattr__(self, "_values", values)
         return self._values
 
@@ -110,12 +122,16 @@ class DiscretePath:
         return self.times.size
 
     def distinct_matrix(self) -> np.ndarray:
-        """The (k, d) coordinate embedding of ``distinct``, cached.
+        """The (k, d) coordinate embedding of ``distinct``, cached: the rows a
+        path was built from, or the embedding of its vectors.
 
-        Rejects NaN and infinite coordinates, which the engine cannot group.
+        This is where every embedding is checked, on first read: one above
+        ``spaces.MAX_EMBED_BYTES`` raises :class:`TooLarge`, NaN and infinite
+        coordinates, which the engine cannot group, :class:`PathInvariantError`.
         """
         if self._embedding is None:
-            mat = _embed(self.distinct)
+            mat = _embed(self.distinct) if self._rows is None else self._rows[0]
+            _check_embed_size(*mat.shape)
             if not np.isfinite(mat).all():
                 raise PathInvariantError("values must have finite coordinates")
             object.__setattr__(self, "_embedding", mat)
@@ -175,6 +191,36 @@ class DiscretePath:
             self.interval[0],
             self.interval[1],
         )
+
+
+def _checked_times(times, count: int, interval) -> tuple[np.ndarray, tuple[float, float]]:
+    """Sample times as a read-only float array, and the interval as floats,
+    after checking them against each other and ``count`` samples."""
+    times = np.array(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise PathInvariantError("at least 2 sample points required")
+    if times.size != count:
+        raise PathInvariantError("times and values must have equal length")
+    if not np.all(np.isfinite(times)):
+        raise PathInvariantError("times must be finite")
+    if not np.all(np.diff(times) > 0.0):
+        raise PathInvariantError("times not strictly increasing")
+    if times.size > MAX_SAMPLES:
+        raise PathInvariantError(
+            "path has %d samples, exceeding the sample cap %d"
+            % (times.size, MAX_SAMPLES)
+        )
+    if interval is None:
+        interval = (float(times[0]), float(times[-1]))
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise PathInvariantError("interval must satisfy a < b")
+    if times[0] != a:
+        raise PathInvariantError("first time must equal the interval start")
+    if times[-1] != b:
+        raise PathInvariantError("last time must equal the interval end")
+    times.flags.writeable = False
+    return times, (a, b)
 
 
 def _group(values: list[Vector]) -> tuple[list[Vector], range | np.ndarray]:

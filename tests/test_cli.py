@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pvarkit import cli, operators, spaces, variation
+from pvarkit import cli, lab, operators, spaces, variation
 from pvarkit.cli import EXIT_CLAIM, EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
 from pvarkit.errors import TooLarge
 from pvarkit.lab import gen_example3
@@ -273,6 +273,36 @@ def test_bound_check_with_overflowing_norms_exits_3(tmp_path, capsys, xs, gen, q
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "xs, gen, q, message",
+    [
+        ([0.0, 7e199, 2e199, 1.3e200], {"name": "power", "beta": 0.5}, "2",
+         "var_p is inf: the norms of the path overflow"),
+        ([0.0, 1e200, 2e200], {"name": "identity"}, "1.5",
+         "L_hat is undefined: every Holder ratio is NaN, as norms overflow"),
+    ],
+)
+def test_bound_check_with_overflowing_norms_exits_3_without_a_warning(
+    tmp_path, capsys, xs, gen, q, message
+):
+    # the cases above under numpy's own error state: the scalar steps stay quiet
+    doc = {
+        "interval": [0.0, len(xs) - 1.0],
+        "times": [float(t) for t in range(len(xs))],
+        "space": {"kind": "dense", "dim": 1, "norm": "l2"},
+        "values": [{"dense": [x]} for x in xs],
+    }
+    inp = write_json(tmp_path / "p.json", doc)
+    gen = write_json(tmp_path / "g.json", gen)
+    argv = ["bound-check", "--input", inp, "--gen", gen, "--p", "1", "--q", q]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.err == "invariant violation: %s\n" % message
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_compose_non_finite_breakpoint_is_parse_error(tmp_path, capsys, bad):
     _, doc = step_path_doc()
@@ -427,6 +457,23 @@ def test_embedding_above_the_size_limit_is_invariant_violation(tmp_path, capsys,
     assert "above the limit of 95" in capsys.readouterr().err
     monkeypatch.setattr(spaces, "MAX_EMBED_BYTES", 96)
     assert main(["pvar", "--input", inp, "--p", "1", "--out", out]) == EXIT_OK
+
+
+def test_lab_example3_with_a_non_finite_row_is_invariant_violation(tmp_path, capsys, monkeypatch):
+    # a generator's rows are checked as any embedding, when pvar first reads them
+    def gen(depth):
+        rows = np.zeros((depth + 1, depth))
+        rows[:depth, 0], rows[depth // 2, -1] = 1.0, math.nan
+        times = [1.0 - 1.0 / n for n in range(1, depth + 1)] + [1.0]
+        space = spaces.VectorSpace("sparse", spaces.LINF)
+        return DiscretePath._from_rows(times, (0.0, 1.0), space, rows, np.arange(1, depth + 1))
+
+    monkeypatch.setattr(lab, "gen_example3", gen)
+    out = tmp_path / "r.csv"
+    argv = ["lab", "--experiment", "example3", "--depths", "3", "--out", str(out)]
+    assert main(argv) == EXIT_INVARIANT
+    assert "invariant violation: values must have finite coordinates" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lab_step4_writes_csv_and_json(tmp_path):

@@ -6,15 +6,20 @@ exists to exhibit, with the small cases cross-checked on the exhaustive
 variation oracle.
 """
 
+import json
 import math
 
+import numpy as np
 import pytest
+
+from pvarkit import spaces
 
 from pvarkit.errors import (
     BlockTooLarge,
     GapConditionViolated,
     InvalidExponent,
     NoViolatorFound,
+    PathInvariantError,
     SpikeOverflow,
 )
 from pvarkit.lab import (
@@ -39,8 +44,9 @@ from pvarkit.lab import (
     thm6_experiment,
 )
 from pvarkit.operators import Generator, compose_path, epsilon_covering
-from pvarkit.spaces import Vector, diff_norm, norm
-from pvarkit.variation import bv_norm, pvar, pvar_bruteforce, pvar_restricted
+from pvarkit.paths import DiscretePath
+from pvarkit.spaces import LINF, Vector, VectorSpace, diff_norm, norm
+from pvarkit.variation import bv_norm, pvar, pvar_bruteforce, pvar_restricted, sup_norm
 
 POWER_CANDIDATES = power_divergence_candidates()
 
@@ -70,6 +76,88 @@ def test_sparse_step_path_covering_stabilizes():
     big = epsilon_covering(list(gen_example3(200).values), 0.01)
     assert small == 10
     assert big == 10
+
+
+def dict_example3(depth):
+    """Example 3 built a vector at a time, each a dict copy of the last."""
+    space = VectorSpace("sparse", LINF)
+    values, entries = [], {}
+    for k in range(1, depth + 1):
+        entries[k] = 1.0 / (k * k)
+        values.append(Vector(space, dict(entries)))
+    return gen_step2_path(values)
+
+
+def hex_items(v):
+    return [(i, c.hex()) for i, c in v.data.items()]
+
+
+@pytest.mark.parametrize("depth", list(range(1, 65)) + [1000, 1500])
+def test_example3_rows_are_the_embedding_of_its_vectors(depth):
+    path = gen_example3(depth)
+    rows = path.distinct_matrix()
+    embedded = spaces._embed(path.distinct)
+    assert rows.shape == embedded.shape == (depth + 1, depth)
+    assert rows.tobytes() == embedded.tobytes()
+    assert rows.tobytes() == spaces._embed(dict_example3(depth).distinct).tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 10, 100])
+def test_example3_vectors_are_the_dict_built_ones(depth):
+    path, want = gen_example3(depth), dict_example3(depth)
+    assert path.times.tobytes() == want.times.tobytes() and path.interval == want.interval
+    assert [hex_items(v) for v in path.values] == [hex_items(v) for v in want.values]
+    assert all(v.space == want.space for v in path.values)
+    assert path.values is path.distinct and path.distinct is path.distinct  # made once
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7, 40])
+def test_example3_agrees_with_the_dict_built_path(depth):
+    want = dict_example3(depth)
+    # each on a fresh path: the engine's reads make no vector
+    got, ref = pvar(gen_example3(depth), 1.0), pvar(want, 1.0)
+    assert got.value.hex() == ref.value.hex() and got.partition == ref.partition
+    for eps in (0.01, 0.1, 2.0):
+        assert epsilon_covering(gen_example3(depth), eps) == epsilon_covering(want, eps)
+    assert bv_norm(gen_example3(depth), 1.0).hex() == bv_norm(want, 1.0).hex()
+    assert sup_norm(gen_example3(depth)) == sup_norm(want)
+    path = gen_example3(depth)
+    assert path.values == want.values
+    doc = path.to_json()
+    assert json.dumps(doc) == json.dumps(want.to_json())
+    assert DiscretePath.from_json(doc).to_json() == doc
+    c, d = float(want.times[depth // 2]), 1.0
+    assert path.restrict(c, d).to_json() == want.restrict(c, d).to_json()
+    image, ref_image = compose_path(Generator.l2_sup(), path), compose_path(Generator.l2_sup(), want)
+    assert image.to_json() == ref_image.to_json()
+    assert pvar(image, 1.0).value.hex() == pvar(ref_image, 1.0).value.hex()
+
+
+def test_rows_are_checked_when_first_read():
+    space, index = VectorSpace("sparse", LINF), np.arange(1, 3)
+    rows = np.array([[1.0, 0.0], [1.0, math.inf], [0.0, 0.0]])
+    path = DiscretePath._from_rows([0.0, 0.5, 1.0], (0.0, 1.0), space, rows, index)
+    for _ in range(2):  # a failed check is not cached
+        with pytest.raises(PathInvariantError, match="finite coordinates"):
+            path.distinct_matrix()
+    # the times and interval are checked as the constructor checks them
+    for times, interval, message in [
+        ([0.0, 1.0], (0.0, 1.0), "equal length"),
+        ([0.0, 1.0, 0.5], (0.0, 0.5), "strictly increasing"),
+        ([0.0, 0.5, 1.0], (0.0, 2.0), "interval end"),
+    ]:
+        with pytest.raises(PathInvariantError, match=message):
+            DiscretePath._from_rows(times, interval, space, rows, index)
+
+
+def test_example3_experiment_makes_no_vector(monkeypatch):
+    made = []
+    init = Vector.__init__
+    monkeypatch.setattr(Vector, "__init__", lambda self, *a: made.append(1) or init(self, *a))
+    outcome = example3_experiment(depths=(10, 100), bound_terms=1000)
+    assert outcome.report.all_satisfied and outcome.point_counts == [11, 101]
+    assert made == []
+    assert len(gen_example3(3).values) == 4 and len(made) == 4  # counted when made
 
 
 def test_step_path_from_values_alternating():

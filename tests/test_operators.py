@@ -2,10 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvarkit import lab, operators, spaces
@@ -565,8 +566,19 @@ def test_bound_check_on_repeated_values_scans_each_value_pair_once(shared, monke
 PQ = {0.37: (1.0, 2.7), 0.5: (1.0, 2.0), 1.0: (2.0, 2.0)}
 
 
+# ties: every pair of a line under the identity at alpha = 1, its samples
+# repeated or not, and every pair of a constant map at ratio exactly 0
+LINE = [Vector.dense([0.25 * k], L2) for k in range(12)]
+FLAT = Generator.scalar_lipschitz([(-1.0, 0.0), (1.0, 0.0)])
+
+
 @given(holder_cases(), st.booleans())
 @settings(max_examples=300, deadline=None)
+@example((Generator.identity(), LINE, 1.0), False)
+@example((Generator.identity(), LINE[::-1] + LINE[:5], 1.0), True)
+@example((Generator.identity(), [Vector.dense([k], LINF) for k in (0.0, 2.0, 1.0, 3.0)], 1.0), False)
+@example((FLAT, LINE, 1.0), True)
+@example((FLAT, LINE + LINE, 0.5), False)
 def test_bound_check_estimate_is_the_pair_loops_over_the_samples(case, fresh):
     # the scan over distinct values gives the L_hat and infinite flag the
     # pair loop gives over every sample, sparse orders of a pair included;
@@ -584,6 +596,37 @@ def test_bound_check_estimate_is_the_pair_loops_over_the_samples(case, fresh):
     assert repr(got.l_hat) == repr(want)
     assert (got.l_hat == math.inf) == infinite
     assert got.bound_holds
+
+
+@pytest.mark.parametrize("block_bytes", [8, 64, 1 << 18])
+def test_holder_scan_keeps_the_first_of_tied_exact_pairs_across_blocks(monkeypatch, block_bytes):
+    # ties within a block and across blocks of a row or a few: the witness
+    # is the first tied pair in row-major order, as in the pair loop
+    monkeypatch.setattr(spaces, "BLOCK_BYTES", block_bytes)
+    walk = [Vector.dense([x]) for x in (0.0, 1.0, 3.0, 2.0, 5.0, 4.0, 3.5, 0.5)]
+    for f, points, alpha in [
+        (Generator.identity(), LINE, 1.0),
+        (Generator.identity(), walk, 1.0),
+        (FLAT, walk, 0.5),
+        (Generator.custom(lambda v: 0.5 * v), walk + walk, 1.0),
+        (Generator.power(0.5), walk, 0.5),
+    ]:
+        assert_holder_matches_reference(f, points, alpha)
+
+
+def test_bound_check_keeps_no_tied_pair_it_cannot_use():
+    # the identity on a one-column walk at p = q = 2: every ratio ties at
+    # 1.0, and each block keeps its first only, not 36 bytes a pair
+    xs = np.cumsum(np.random.default_rng(7).standard_normal(2000))
+    path = DiscretePath(np.arange(2000.0), [Vector.dense([x]) for x in xs])
+    tracemalloc.start()
+    try:
+        report = composition_bound_check(Generator.identity(), path, 2.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.l_hat == 1.0 and report.bound_holds
+    assert peak < 20e6
 
 
 def test_bound_check_scores_a_sparse_pair_in_each_order_the_path_takes():
