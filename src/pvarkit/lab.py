@@ -41,6 +41,7 @@ from .spaces import (
     VectorSpace,
     coordinate_matrix,
     diff_norm,
+    exact_array_distances,
     norm as vector_norm,
     panel_distances,
 )
@@ -379,12 +380,15 @@ def _pair_gaps(points: list[Vector], images: list[Vector]):
     """Pairs (i, j), i < j, of points at nonzero distance in row-major
     order, with |u - w| as a list and |f(u) - f(w)| as an array.
 
-    On one column under l1, l2 or linf, one distance panel of each matrix
-    gives every pair ``diff_norm``'s bits; other spaces take a scalar step
-    per pair."""
-    if _on_a_line(points[0]) and _on_a_line(images[0]):
+    Where ``exact_array_distances`` holds for points and images, one
+    distance panel of each matrix gives every pair ``diff_norm``'s bits;
+    other spaces take a scalar step per pair."""
+    if exact_array_distances(points[0].space) and exact_array_distances(images[0].space):
         i, j = np.triu_indices(len(points), 1)
-        gaps, image_gaps = _line_gaps(points)[i, j], _line_gaps(images)[i, j]
+        buf = np.empty(len(points) ** 2)
+        pmat, imat = coordinate_matrix(points), coordinate_matrix(images)
+        gaps = panel_distances(pmat, pmat, points[0].space.norm, buf)[i, j]
+        image_gaps = panel_distances(imat, imat, images[0].space.norm, buf)[i, j]
         keep = gaps != 0.0
         return list(zip(i[keep].tolist(), j[keep].tolist())), gaps[keep].tolist(), image_gaps[keep]
     index, gaps, image_gaps = [], [], []
@@ -396,17 +400,6 @@ def _pair_gaps(points: list[Vector], images: list[Vector]):
                 gaps.append(gap)
                 image_gaps.append(diff_norm(images[i], images[j]))
     return index, gaps, np.array(image_gaps)
-
-
-def _on_a_line(v: Vector) -> bool:
-    space = v.space
-    return space.kind == "dense" and space.dim == 1 and space.norm.tag in ("l1", "l2", "linf")
-
-
-def _line_gaps(vectors: list[Vector]) -> np.ndarray:
-    """Distances between every two of one-column vectors, d[i, j] = |v_j - v_i|."""
-    mat = coordinate_matrix(vectors)
-    return panel_distances(mat, mat, vectors[0].space.norm, None)  # one column: no buffer
 
 
 def run_divergence_step6(

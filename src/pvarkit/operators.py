@@ -11,7 +11,7 @@ times the p-variation of the input.
 
 The Holder scan takes the distances from a block of rows of the coordinate
 embedding to every later row in a few numpy calls, through the distance
-panels ``pvar`` uses too on narrow tables, then confirms its maximum with
+panels ``pvar`` uses too, then confirms its maximum with
 the scalar norms, so its result is the plain pair loop's bit for bit.  The
 bound check runs it over the path's distinct values only.
 """
@@ -41,11 +41,11 @@ from .spaces import (
     Vector,
     _check_numbers,
     _distance_error,
-    _reduce_abs,
     _trusted_range,
     block_buffer,
     coordinate_matrix,
     diff_norm,
+    exact_array_distances,
     panel_distances,
     row_distances,
 )
@@ -260,11 +260,11 @@ def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> Hol
     band covers (underflow, overflow, NaN) take those scalar steps in
     full.  Constant, witness and pair count are the plain loop's, bit for
     bit.  Ratios tied within the band are each re-scored, except at alpha
-    = 1 with points and images of one column under l1, l2 or linf: there
-    an array ratio is the scalar one, so the ties of the identity cost
-    nothing.  Of the pairs near the maximum whose ratio is final, a block
-    keeps only its first maximum.  All points, and all images, must share
-    one space.
+    = 1 where ``spaces.exact_array_distances`` holds for points and images
+    (dense l1 and l2, and linf): there an array ratio is the scalar one, so
+    the ties of the identity cost nothing.  Of the pairs near the maximum
+    whose ratio is final, a block keeps only its first maximum.  All
+    points, and all images, must share one space.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -306,11 +306,8 @@ def _holder_scan(
         _distance_error(pmat.shape[1]) + _distance_error(imat.shape[1]) + (_POW_ULPS + 2) * _EPS
     )
     cut = 1.0 - 3.0 * band
-    # one column under l1, l2 or linf: an array distance is |x_j - x_i|, as
-    # diff_norm's, and at alpha = 1 the array ratio is the scalar one
-    same = alpha == 1.0 and pmat.shape[1] == imat.shape[1] == 1 and "lp" not in (
-        pkind.tag, ikind.tag
-    )
+    # array distances with diff_norm's bits: at alpha = 1 the array ratio is the scalar one
+    same = alpha == 1.0 and all(exact_array_distances(v[0].space) for v in (points, images))
 
     def scalar(i: int, j: int) -> float:
         r = diff_norm(images[i], images[j]) / diff_norm(points[i], points[j]) ** alpha
@@ -321,7 +318,6 @@ def _holder_scan(
         return r
 
     cap = spaces.BLOCK_BYTES // 8
-    width = max(1 if m.shape[1] < 8 else m.shape[1] for m in (pmat, imat))
     buf = np.empty(max(cap, n))
     top = -math.inf  # largest ratio so far, array or scalar
     kept = []  # per block: rows i, columns j, ratios and exact? of pairs near the top
@@ -329,10 +325,10 @@ def _holder_scan(
     a = 0
     while a < n - 1:  # rows [a, b) against every later row: column c is row a + 1 + c
         m = n - 1 - a
-        b = min(n - 1, a + max(1, cap // (m * width)))
+        b = min(n - 1, a + max(1, cap // m))
         with np.errstate(all="ignore"):  # what overflows is re-scored below
-            d = _pair_distances(pmat, a, b, pkind, buf)
-            gap = _pair_distances(imat, a, b, ikind, buf)
+            d = panel_distances(pmat[a + 1 :], pmat[a:b], pkind, buf)
+            gap = panel_distances(imat[a + 1 :], imat[a:b], ikind, buf)
             ratio = gap / d ** alpha
         later = np.arange(a + 1, n) > np.arange(a, b)[:, None]
         live = later & (pcode[a + 1 :] != pcode[a:b, None])  # identical points are skipped
@@ -385,26 +381,6 @@ def _holder_scan(
             k = int(ratios.argmax())  # the first maximum in row-major order
             best, witness = float(ratios[k]), (points[rows[k]], points[cols[k]])
     return HolderEstimate(alpha=alpha, constant=best, witness=witness, pair_count=count)
-
-
-def _pair_distances(mat: np.ndarray, a: int, b: int, kind, buf: np.ndarray) -> np.ndarray:
-    """Distances from each row in [a, b) to every row after a, a row each.
-
-    Tables of fewer than 8 columns take distance panels; wider ones a
-    (rows, later rows, columns) difference reduced along its last axis, in
-    chunks of later rows within ``spaces.BLOCK_BYTES``.  That reduction may
-    sum in another order than the scalar norm does, which the Holder scan's
-    error band covers: array ratios only locate its maximum.
-    """
-    rows, x = mat[a + 1 :], mat[a:b]
-    if mat.shape[1] < 8:
-        return panel_distances(rows, x, kind, buf)
-    out = np.empty((b - a, len(rows)))
-    step = max(1, spaces.BLOCK_BYTES // (8 * (b - a) * mat.shape[1]))
-    for c in range(0, len(rows), step):
-        diff = np.subtract(rows[None, c : c + step], x[:, None])
-        out[:, c : c + step] = _reduce_abs(np.abs(diff, out=diff), kind, axis=2)
-    return out
 
 
 @dataclass

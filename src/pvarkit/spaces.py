@@ -39,6 +39,7 @@ __all__ = [
     "row_distances",
     "step_distances",
     "panel_distances",
+    "exact_array_distances",
     "MAX_EMBED_BYTES",
 ]
 
@@ -452,10 +453,11 @@ def row_distances(
 ) -> np.ndarray:
     """Norm of ``rows[k] - x`` for every row k, or every k in ``index``.
 
-    ``buf`` comes from :func:`block_buffer`; indexed rows are gathered into
-    it a block at a time.  Each row's reduction is the same whatever block
-    it falls in, so results depend neither on the size of ``buf`` nor on
-    which rows are taken with it.
+    Rows are taken as many at a time as ``buf``, from :func:`block_buffer`,
+    holds: a block of the table through :func:`panel_distances`, or the
+    indexed rows gathered into ``buf``.  Each row's reduction is the same
+    whatever block it falls in, so results depend neither on the size of
+    ``buf`` nor on which rows are taken with it.
     """
     n = rows.shape[0] if index is None else len(index)
     if n <= buf.shape[0]:  # a single block, the usual case for narrow rows
@@ -469,12 +471,10 @@ def row_distances(
 
 def _block_distances(rows, x, kind, buf, index, a, b) -> np.ndarray:
     if index is None:
-        if rows.shape[1] < 8:
-            return panel_distances(rows[a:b], x, kind, buf)
-        diff = np.subtract(rows[a:b], x, out=buf[: b - a])
-    else:  # the indices are valid, so "clip" only spares a buffered copy
-        diff = np.take(rows, index[a:b], axis=0, out=buf[: b - a], mode="clip")
-        np.subtract(diff, x, out=diff)
+        return panel_distances(rows[a:b], x, kind, buf)
+    # the indices are valid, so "clip" only spares a buffered copy
+    diff = np.take(rows, index[a:b], axis=0, out=buf[: b - a], mode="clip")
+    np.subtract(diff, x, out=diff)
     return _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
 
 
@@ -495,14 +495,25 @@ def step_distances(rows: np.ndarray, at, kind: NormKind) -> np.ndarray:
 
 
 def panel_distances(rows: np.ndarray, x: np.ndarray, kind: NormKind, buf) -> np.ndarray:
-    """Norm of ``rows[k] - x`` for every row k of fewer than 8 columns.
+    """Norm of ``rows[k] - x`` for every row k, with the row reduction's bits.
 
     ``x`` is a point, or a stack of them whose distances come out a row each
-    with the same bits; ``buf`` holds the result.  numpy sums a row of fewer
-    than 8 terms left to right, as this loop over columns does, so each
-    distance keeps the row reduction's bits without its per-row cost; from 8
-    terms on it pairs them up in another order.  Gathered rows, a few at a
-    time, keep the row reduction: one call per column costs more there."""
+    with the same bits.  numpy sums a row of fewer than 8 terms left to
+    right, as this loop over columns does without the reduction's per-row
+    cost; ``buf`` holds the loop's terms, as many as the result.  From 8
+    terms on it pairs them up in another order, so wider rows reduce a
+    C-ordered (points, rows, columns) difference along its last axis, in
+    chunks of rows within ``BLOCK_BYTES`` (always one).  Gathered rows, a
+    few at a time, keep the row reduction: one call per column costs more
+    there."""
+    if rows.shape[1] >= 8:
+        pts = x.reshape(-1, rows.shape[1])
+        out = np.empty((len(pts), len(rows)))
+        step = max(1, _block_rows(rows.shape[1]) // max(1, len(pts)))
+        for c in range(0, len(rows), step):  # in another layout numpy reduces in another order
+            diff = np.subtract(rows[c : c + step], pts[:, None], order="C")
+            out[:, c : c + step] = _reduce_abs(np.abs(diff, out=diff), kind, axis=2)
+        return out.reshape(x.shape[:-1] + rows.shape[:1])
     out = np.zeros(x.shape[:-1] + rows.shape[:1])  # the distance over no columns
     tmp = buf.reshape(-1)[: out.size].reshape(out.shape) if x.shape[-1] > 1 else None
     for j, xj in enumerate(x.T[..., None] if x.ndim > 1 else x.tolist()):
@@ -520,6 +531,15 @@ def panel_distances(rows: np.ndarray, x: np.ndarray, kind: NormKind, buf) -> np.
     elif kind.tag == "lp":
         out **= 1.0 / kind.r
     return out
+
+
+def exact_array_distances(space: VectorSpace) -> bool:
+    """Whether every array kernel gives the distances of ``space`` the bits
+    of :func:`diff_norm`: under l1 and l2 on dense spaces, whose rows reduce
+    as its 1-D sum does, and under linf, as a maximum takes no order.  A
+    sparse difference sums in entry order, and lp's array root may not be
+    the scalar one."""
+    return space.norm.tag == "linf" or space.kind == "dense" and space.norm.tag != "lp"
 
 
 def _trusted_range(kind: NormKind, cols: int) -> tuple[float, float]:

@@ -8,7 +8,7 @@ bit: tables of at most 64 values read their table of powered distances in
 Python floats, taking long stretches that alternate two values a window
 of steps at a time; the rest take batches of steps through distance
 panels if narrower than 8 columns, else a scan over the values seen that
-skips, on large tables, those triangle inequalities rule out.  ``pvar_bruteforce``
+skips those triangle inequalities rule out.  ``pvar_bruteforce``
 enumerates every subsequence literally and exists as an independent
 oracle for the engine, guarded to small paths.  Tests hold the two to
 bit-for-bit agreement.
@@ -58,7 +58,7 @@ BRUTEFORCE_LIMIT = 20  # increments, i.e. 2^(n-1) candidate subsequences
 
 # Tables of distinct values that pvar reads from a gain table.  Timed on 2
 # vCPUs (l2, p = 2, dims 1 and 3, n = 2,000 and 20,000 samples of k values)
-# the table ran 0.2-0.25x the full scan's time at k = 16, 0.5-0.6x at 64,
+# the table ran 0.2-0.25x an unpruned scan's time at k = 16, 0.5-0.6x at 64,
 # 0.7-1.1x at 96 and 128, and 1.2-2.1x at 256; paths of k = n distinct
 # values ran 1.0x at 16 and 1.4x at 64 (0.53 ms against 0.39 ms).
 TABLE_MAX_VALUES = 64
@@ -70,14 +70,9 @@ BATCH_STEPS = 32  # steps to a batch of the batched route: 16 and 64 ran slower
 # of RUN_STEPS steps, doubling while whole windows are taken, to RUN_CAP.
 RUN_MIN, RUN_STEPS, RUN_CAP = 16, 32, 1024
 
-# The full scan prunes tables of PRUNE_MIN_VALUES values and k (cols + 16)
-# >= PRUNE_MIN_WORK, + 16 being the row reduction's cost in columns: on 2
-# vCPUs, wide tables below ran up to 7x faster unpruned (50 x 8) or 1.7x
-# (1,000 x 8), and sup-normed example 3 paths of 1,000 or more 6-30x slower.
 # The batched route bounds blocks once PRUNE_MIN_VALUES values are seen;
 # before, its bounds cost more than they save (0.6-0.9x the time at 250).
 PRUNE_MIN_VALUES = 256
-PRUNE_MIN_WORK = 1 << 16
 
 
 @dataclass
@@ -206,16 +201,16 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     takes 24 scalar steps.  Larger
     tables of fewer than 8 columns take ``_batched_dp``: ``BATCH_STEPS``
     steps at a time, scored through distance panels, skip blocks of values
-    certified below each step's maximum.  Wider tables take the full scan,
-    which on large ones differences only values ``_DistanceBound`` does not
-    certify strictly below the previous value's candidate."""
+    certified below each step's maximum.  Wider tables take the scan, which
+    differences only values ``_DistanceBound`` does not certify strictly
+    below the previous value's candidate."""
     p = _check_exponent(p)
     codes, rows = _value_table(path)
     k, cols = rows.shape
     route = _table_dp if k <= TABLE_MAX_VALUES else _batched_dp if cols < 8 else _scan_dp
     with np.errstate(over="ignore"):  # an infinite power or bound is taken as such
         best, pred, *runs = route(codes, rows, path.space.norm, p)
-    if isinstance(pred, np.ndarray):  # the full scan's: walk Python ints
+    if isinstance(pred, np.ndarray):  # the scan's: walk Python ints
         pred = pred.tolist()
     result = PVarResult.__new__(PVarResult)  # its partition walked back when read
     result.p, result.value, result._walk = p, float(best[-1]), partial(_walk_back, pred, *runs)
@@ -285,15 +280,10 @@ def _table_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
     table = [(row_distances(rows, x, kind, buf) ** p).tolist() for x in rows]
     s = len(codes)
     top, arg = [0.0], [0]  # best V and its smallest index, per value seen
-    stretches = _alternations(codes)
-    # where runs can take most steps, typed arrays hold no object a sample
-    # and take a run in one copy; elsewhere lists read faster, step by step
-    if 2 * sum(hi - lo for lo, hi in stretches) > s:
-        link, best, pred = array("q", [-1]) * s, array("d", [0.0]) * s, array("q", [0]) * s
-    else:
-        link, best, pred = [-1] * s, [0.0] * s, [0] * s
+    # typed arrays hold no object a sample, and take a run in one copy
+    link, best, pred = array("q", [-1]) * s, array("d", [0.0]) * s, array("q", [0]) * s
     runs = []
-    stretches = iter(stretches)
+    stretches = iter(_alternations(codes))
     lo, hi = next(stretches, (s, s))  # the next window starts at step lo
     i, window, seen = 1, RUN_STEPS, 1
     while True:
@@ -487,7 +477,9 @@ def _static_best(table, idx, pts, kind, p: float, top, buf, chunk: int):
 
 
 def _scan_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
-    """The DP differencing the current sample from the values each step."""
+    """The DP differencing the current sample from the values seen each
+    step that ``_DistanceBound`` does not certify strictly below the
+    previous sample's candidate."""
     s = len(codes)
     k, cols = rows.shape
     buf = block_buffer(k, cols)  # reused by every step
@@ -496,32 +488,25 @@ def _scan_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
     link = np.full(s, -1)  # see _first_reaching
     best = np.zeros(s)
     pred = np.zeros(s, dtype=np.int64)
-    prune = k >= PRUNE_MIN_VALUES and k * (cols + 16) >= PRUNE_MIN_WORK
-    bound = _DistanceBound(rows, kind, p, codes) if prune else None
+    bound = _DistanceBound(rows, kind, p, codes)
     codes = codes if isinstance(codes, range) else codes.tolist()
-    live = None  # the values scanned this step, when not all of them
     seen = 1
     for i in range(1, s):
         c = codes[i]
-        if bound is None:
-            gain = row_distances(rows[:seen], rows[c], kind, buf) ** p
-            cand = top[:seen] + gain
-        else:
-            # the previous value is scored here again: one more row in the
-            # gather costs less than splicing in the distance already taken
-            live = bound.survivors(i, c, codes[i - 1], top[:seen])
-            dist = row_distances(rows, rows[c], kind, buf, live)
-            bound.reset(live, dist, c)
-            gain = dist ** p
-            cand = top[live] + gain
+        # the previous value is scored here again: one more row in the
+        # gather costs less than splicing in the distance already taken
+        live = bound.survivors(i, c, codes[i - 1], top[:seen])
+        dist = row_distances(rows, rows[c], kind, buf, live)
+        bound.reset(live, dist, c)
+        gain = dist ** p
+        cand = top[live] + gain
         t = int(cand.argmax())
         v = cand[t]
         j = s
         # Find the smallest index whose V + d^p rounds to v.  Without
         # repeats, code order is index order and t is that index.
         for t in (cand == v).nonzero()[0].tolist() if k < s else (t,):
-            r = arg[t if live is None else live[t]]
-            j = min(j, _first_reaching(r, gain[t], v, link, best))
+            j = min(j, _first_reaching(arg[live[t]], gain[t], v, link, best))
         best[i] = v
         pred[i] = j
         if c == seen:

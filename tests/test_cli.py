@@ -177,10 +177,9 @@ def test_shared_non_finite_object_exits_3(tmp_path, capsys, monkeypatch, bad):
 def test_overflowing_pvar_exits_3_without_a_warning(tmp_path, capsys, monkeypatch, route):
     # steps of about 1e8 at p = 40: every power overflows, on each route;
     # JSON has no infinity, so nothing is written, and numpy stays quiet
-    n, dim = (40, 1) if route == "table" else (100, 1 if route == "batched" else 8)
-    if route == "pruned":
+    n, dim = (40, 1) if route == "table" else (100, 8 if route == "scan" else 1)
+    if route == "pruned":  # the batched route, bounding blocks from the first value
         monkeypatch.setattr(variation, "PRUNE_MIN_VALUES", 0)
-        monkeypatch.setattr(variation, "PRUNE_MIN_WORK", 0)
     xs = [1.0 if t % 2 == 0 else -1e8 for t in range(n)]
     if route != "table":  # every value distinct: past the gain table
         xs = [x + t for t, x in enumerate(xs)]

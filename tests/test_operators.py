@@ -521,7 +521,7 @@ def test_one_column_array_distances_are_the_scalar_ones(kind):
     xs += [1e300, -1e300, 1.7e308]
     pts = [Vector.dense([x], kind) for x in xs]
     mat = coordinate_matrix(pts)
-    d = operators._pair_distances(mat, 0, len(xs) - 1, kind, np.empty(len(xs) ** 2))
+    d = spaces.panel_distances(mat[1:], mat[:-1], kind, np.empty(len(xs) ** 2))
     for i in range(len(xs) - 1):
         for j in range(i + 1, len(xs)):
             assert repr(float(d[i, j - 1])) == repr(diff_norm(pts[i], pts[j]))
@@ -531,12 +531,20 @@ def test_one_column_array_distances_are_the_scalar_ones(kind):
         assert_holder_matches_reference(f, finite, 1.0)
 
 
-def test_holder_scan_at_alpha_one_takes_no_scalar_steps_on_one_column(monkeypatch):
-    # every pair of the identity ties at ratio 1.0: no re-score, first pair wins
+def test_holder_scan_at_alpha_one_takes_no_scalar_steps_where_array_distances_are_exact(
+    monkeypatch,
+):
+    # every pair of the identity ties at ratio 1.0: no re-score, first pair
+    # wins, on dense lines of 1, 3 and 20 columns and on a sparse linf one
     calls = []
     monkeypatch.setattr(operators, "diff_norm", lambda u, w: calls.append(1) or diff_norm(u, w))
-    for kind in (L1, L2, LINF):
-        line = [Vector.dense([float(k) * 0.1], kind) for k in range(80)]
+    lines = [
+        [Vector.dense(float(k) * 0.1 * np.arange(1.0, width + 1), kind) for k in range(80)]
+        for width in (1, 3, 20)
+        for kind in (L1, L2, LINF)
+    ]
+    lines.append([Vector.sparse({1: 0.1 * k, 2 + k % 7: 0.2 * k}, LINF) for k in range(80)])
+    for line in lines:
         est = estimate_holder(Generator.identity(), line, 1.0)
         assert est.constant == 1.0 and est.pair_count == 80 * 79 // 2
         assert est.witness[0] is line[0] and est.witness[1] is line[1]
@@ -615,18 +623,19 @@ def test_holder_scan_keeps_the_first_of_tied_exact_pairs_across_blocks(monkeypat
 
 
 def test_bound_check_keeps_no_tied_pair_it_cannot_use():
-    # the identity on a one-column walk at p = q = 2: every ratio ties at
-    # 1.0, and each block keeps its first only, not 36 bytes a pair
-    xs = np.cumsum(np.random.default_rng(7).standard_normal(2000))
-    path = DiscretePath(np.arange(2000.0), [Vector.dense([x]) for x in xs])
-    tracemalloc.start()
-    try:
-        report = composition_bound_check(Generator.identity(), path, 2.0, 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.l_hat == 1.0 and report.bound_holds
-    assert peak < 20e6
+    # the identity on l2 walks at p = q = 2: every ratio ties at 1.0, and
+    # each block keeps its first only, not 36 bytes a pair
+    for n, cols in ((2000, 1), (1000, 3)):
+        walk = np.cumsum(np.random.default_rng(7).standard_normal((n, cols)), axis=0)
+        path = DiscretePath(np.arange(float(n)), [Vector.dense(x) for x in walk])
+        tracemalloc.start()
+        try:
+            report = composition_bound_check(Generator.identity(), path, 2.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.l_hat == 1.0 and report.bound_holds
+        assert peak < 20e6
 
 
 def test_bound_check_scores_a_sparse_pair_in_each_order_the_path_takes():
@@ -715,9 +724,9 @@ def test_violator_search_on_one_column_scores_no_pair_alone(kind, monkeypatch):
         assert [(u is a and w is b) for (u, w), (a, b) in zip(got, want)] == [True] * len(want)
         assert len(got) == len(want) > 0
     assert calls == []
-    wide = [Vector.dense([x, 1.0], kind) for x in points]  # two columns keep the loop
+    lp = [Vector.dense([x], LP(1.5)) for x in points]  # lp keeps the loop
     with pytest.raises(NoViolatorFound):
-        find_holder_violators(Generator.identity(), 1.0, 2.0, 3.0, wide, 1)
+        find_holder_violators(Generator.identity(), 1.0, 2.0, 3.0, lp, 1)
     assert calls
 
 

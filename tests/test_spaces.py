@@ -19,6 +19,7 @@ from pvarkit.spaces import (
     block_buffer,
     coordinate_matrix,
     diff_norm,
+    exact_array_distances,
     norm,
     panel_distances,
     row_distances,
@@ -342,3 +343,82 @@ def test_eight_columns_keep_the_row_reduction():
     for laid_out in (table, np.asfortranarray(table)):
         got = row_distances(laid_out, x, L1, block_buffer(200, 8))
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+# both zeros, the smallest subnormal, and magnitudes whose squares overflow
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+# (family, norm) of each space the predicate holds on
+EXACT = [
+    (family, kind)
+    for family in ("dense", "sparse")
+    for kind in NORMS
+    if exact_array_distances(VectorSpace(family, kind, 1 if family == "dense" else None))
+]
+
+
+@st.composite
+def exact_point_sets(draw):
+    """2-6 points of 1-40 coordinates in a space where the array distances
+    are exact, some coordinates from ``EXTREMES``, sparse entries in any
+    order."""
+    family, kind = draw(st.sampled_from(EXACT))
+    width = draw(st.integers(1, 40))
+    coord = st.one_of(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), st.sampled_from(EXTREMES)
+    )
+    rows = draw(st.lists(st.lists(coord, min_size=width, max_size=width), min_size=2, max_size=6))
+    if family == "dense":
+        return [Vector.dense(row, kind) for row in rows]
+    order = draw(st.permutations(range(width)))
+    return [Vector.sparse({j + 1: row[j] for j in order}, kind) for row in rows]
+
+
+@given(exact_point_sets())
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_exact_array_distances_are_the_scalar_ones(points):
+    # every kernel, in every layout and block, gives diff_norm's bits
+    kind, mat = points[0].space.norm, coordinate_matrix(points)
+    n, cols = mat.shape
+    want = np.array([[diff_norm(w, u) for w in points] for u in points])  # |v_k - v_i| at [i, k]
+    at = [*range(n), *range(n - 2, -1, -1)]  # steps each way
+    steps = np.array([diff_norm(points[a], points[b]) for a, b in zip(at, at[1:])])
+    index = np.arange(n)[::-1]
+    for laid_out in (mat, np.asfortranarray(mat)):
+        assert panel_distances(laid_out, mat, kind, np.empty(n * n)).tobytes() == want.tobytes()
+        for block in (8, spaces.BLOCK_BYTES):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spaces, "BLOCK_BYTES", block)
+                buf = block_buffer(n, cols)
+                for x, row in zip(mat, want):
+                    assert panel_distances(laid_out, x, kind, np.empty(n)).tobytes() == row.tobytes()
+                    assert row_distances(laid_out, x, kind, buf).tobytes() == row.tobytes()
+                    got = row_distances(laid_out, x, kind, buf, index)
+                    assert got.tobytes() == row[index].tobytes()
+                assert step_distances(laid_out, at, kind).tobytes() == steps.tobytes()
+
+
+def test_exact_array_distances_leave_out_known_counterexamples():
+    assert EXACT == [("dense", L1), ("dense", L2), ("dense", LINF), ("sparse", LINF)]
+    # sparse l2: the scalar norm squares a difference's entries in dict
+    # order, the array kernels in column order
+    u, zero = Vector.sparse({5: -0.3, 3: -1.3, 2: 0.9, 6: 1.1}), Vector.sparse({})
+    mat = coordinate_matrix([u, zero])
+    assert panel_distances(mat, mat[1], L2, np.empty(2))[0] != diff_norm(u, zero)
+    assert not exact_array_distances(u.space)
+    # lp: the array root is numpy's power loop, the scalar root C's pow;
+    # where numpy runs that loop on AVX-512 the two differ in the last bit
+    # on this pair, at AVX2 and at the baseline they agree
+    u, w = (
+        Vector.dense(row, LP(1.5))
+        for row in (
+            [1.5744082788445868, -0.4327858471825968, -0.735483292342275, 0.24978537155866684,
+             1.0314530848694723],
+            [0.16100957671534466, -0.5855288241233366, -1.341219714076669, -1.401520214917428,
+             0.5026828498748657],
+        )
+    )
+    mat = coordinate_matrix([u, w])
+    got, want = panel_distances(mat, mat[0], LP(1.5), np.empty(2))[1], diff_norm(w, u)
+    assert got in (want, math.nextafter(want, 0.0))
+    assert not exact_array_distances(u.space)

@@ -225,15 +225,6 @@ EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
 
 
 @contextmanager
-def full_scan_route():
-    """pvar's full scan on tables of every size and at least 8 columns."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(variation, "TABLE_MAX_VALUES", 0)
-        patch.setattr(variation, "PRUNE_MIN_VALUES", MAX_SAMPLES + 1)
-        yield
-
-
-@contextmanager
 def table_route():
     """pvar's gain-table route on tables of every size."""
     with pytest.MonkeyPatch.context() as patch:
@@ -243,13 +234,12 @@ def table_route():
 
 @contextmanager
 def pruned_route(block_bytes=8):
-    """pvar's pruned route on tables of every size and at least 8 columns.
-    One-row distance blocks, the default here, gather what it scores a row
-    at a time."""
+    """pvar's pruned scan on tables of every size and at least 8 columns,
+    and the batched route without block bounds on narrower ones below
+    ``PRUNE_MIN_VALUES`` values.  One-row distance blocks, the default here,
+    gather what the scan scores a row at a time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(variation, "TABLE_MAX_VALUES", 0)
-        patch.setattr(variation, "PRUNE_MIN_VALUES", 0)
-        patch.setattr(variation, "PRUNE_MIN_WORK", 0)
         patch.setattr(spaces, "BLOCK_BYTES", block_bytes)
         yield
 
@@ -289,9 +279,8 @@ def no_run_route():
         yield
 
 
-# tables of fewer than 8 columns take the batched route where the full
-# scan or pruning is forced
-ROUTES = (full_scan_route, table_route, pruned_route, batched_route, run_route)
+# tables of fewer than 8 columns take the batched route where the scan is forced
+ROUTES = (table_route, pruned_route, batched_route, run_route)
 # batches and blocks small enough that paths of a few samples cross their
 # edges, end in a partial block and repeat values within a batch; run
 # windows of at most 1-3 steps
@@ -308,7 +297,7 @@ def repeating_paths(draw, max_increments=16, extremes=False):
     With ``extremes``, half the coordinates come from ``EXTREMES``.
     """
     # below 8 the batched route and the column-wise distance kernel, from 8
-    # the full scan and pruning
+    # the pruned scan
     dim = draw(st.integers(1, 9))
     coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     if extremes:
@@ -497,16 +486,15 @@ def test_table_gate(extra, table, monkeypatch):
 
 
 def test_pruning_engages_on_wide_sparse_paths(monkeypatch):
-    # 301 distinct rows of 300 columns clear the default gate; the previous
-    # value, one more and the step distance are all that is scored
-    path = gen_example3(300)
+    # 101 and 301 distinct rows of 100 and 300 columns: the previous value,
+    # one more and the step distance are all that is scored
     rows = counted_rows(monkeypatch)
-    res = pvar(path, 1.0)
-    assert sum(rows) <= 3 * len(path)
-    monkeypatch.setattr(variation, "PRUNE_MIN_VALUES", len(path) + 1)  # the full scan
-    rows.clear()
-    assert pvar(path, 1.0) == res
-    assert sum(rows) == len(path) * (len(path) - 1) // 2
+    for depth in (100, 300):
+        path = gen_example3(depth)
+        rows.clear()
+        res = pvar(path, 1.0)
+        assert sum(rows) <= 3 * len(path)
+        assert (res.value, res.partition) == reference_pvar(path, 1.0)
 
 
 @pytest.mark.parametrize("kind", [L1, L2, LINF, LP(1.5)])
@@ -539,12 +527,11 @@ def test_distance_bounds_stay_above_computed_distances(kind, monkeypatch):
 @pytest.mark.parametrize("cols", [1, 2, 3])
 def test_narrow_walks_take_the_batched_route(cols, monkeypatch):
     # 6,000-sample l2 walks, as the benchmark's: every step's V and
-    # predecessor are the full scan's, which these tables no longer take
+    # predecessor are the scan's, which these tables no longer take
     walk = np.cumsum(np.random.default_rng(cols).standard_normal((6000, cols)), axis=0)
     path = DiscretePath(np.linspace(0.0, 1.0, 6000), [Vector.dense(r) for r in walk])
     codes, rows = variation._distinct_rows(path.coordinate_matrix())
-    with full_scan_route():
-        full = variation._scan_dp(codes, rows, L2, 2.0)
+    full = variation._scan_dp(codes, rows, L2, 2.0)
     taken = taken_routes(monkeypatch)
     monkeypatch.setattr(variation, "_DistanceBound", None)  # fails if built
     res = pvar(path, 2.0)
