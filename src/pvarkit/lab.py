@@ -165,18 +165,20 @@ def gen_example3(depth: int) -> DiscretePath:
     sup-distance of 1/(j+1)^2 between piece j and everything after it, so
     no finite epsilon net ever stops growing as epsilon shrinks.
 
-    The path is built from its coordinate embedding, filled in one pass:
-    row k - 1 holds 1/j^2 in column j - 1 for j <= k (k^2 is exact in a
-    float, so numpy divides to Python's bits) and the last row is zero.
-    Its vectors are made only if ``distinct`` or ``values`` is read; the
-    times are ``gen_step2_path``'s.
+    The path is built from its coordinate embedding, filled in one pass
+    when it is first read, after its size is checked: row k - 1 holds 1/j^2
+    in column j - 1 for j <= k (k^2 is exact in a float, so numpy divides
+    to Python's bits) and the last row is zero.  Its vectors are made only
+    if ``distinct`` or ``values`` is read; the times are ``gen_step2_path``'s.
     """
     depth = _check_depth(depth)
-    k = np.arange(1, depth + 1, dtype=float)
-    rows = np.zeros((depth + 1, depth))
-    np.copyto(rows[:depth], np.divide(1.0, k * k), where=np.tri(depth, dtype=bool))
+
+    def fill(rows):
+        k = np.arange(1, depth + 1, dtype=float)
+        np.copyto(rows[:depth], np.divide(1.0, k * k), where=np.tri(depth, dtype=bool))
+
     return DiscretePath._from_rows(
-        _step2_times(depth), (0.0, 1.0), VectorSpace("sparse", LINF), rows, np.arange(1, depth + 1)
+        _step2_times(depth), (0.0, 1.0), VectorSpace("sparse", LINF), fill, np.arange(1, depth + 1)
     )
 
 
@@ -193,16 +195,29 @@ def _step2_times(steps: int) -> list[float]:
     return [1.0 - 1.0 / n for n in range(1, steps + 1)] + [1.0]
 
 
-def _spike_block(t0, t1, background, spike, m, times, values) -> None:
-    # Appends the interior of one spike block: spike k at t0 + k h, back to
-    # the background h / 2 later.  The caller has already emitted the sample
-    # at t0 and will emit one at (or after) t1; ``times`` collects arrays.
+def _spike_path(interval, pieces) -> DiscretePath:
+    # Each piece (times, values) repeats ``values`` over ``times``.  The few
+    # objects are numbered by identity in order of first appearance, as
+    # grouping the samples would number them, so no sample is regrouped.
+    code, times, codes = {}, [], []  # code: id -> (code, object), which keeps the id in use
+    for t, values in pieces:
+        pattern = [code.setdefault(id(v), (len(code), v))[0] for v in values]
+        times.append(t)
+        codes.append(np.tile(np.array(pattern, np.intp), len(t) // len(values)))
+    codes = np.concatenate(codes)
+    codes.flags.writeable = False
+    distinct = [v for _, v in code.values()]
+    return DiscretePath._from_codes(np.concatenate(times), interval, distinct, codes)
+
+
+def _spike_block(t0, t1, background, spike, m):
+    # The piece inside one spike block: spike k at t0 + k h, back to the
+    # background h / 2 later, between the pieces at t0 and at (or after) t1.
     h = (t1 - t0) / (m + 1)
     block = np.empty((m, 2))
     block[:, 0] = t0 + np.arange(1, m + 1) * h
     block[:, 1] = block[:, 0] + h / 2.0
-    times.append(block.ravel())
-    values += [spike, background] * m
+    return block.ravel(), [spike, background]
 
 
 def _spike_train(interval, background, spike, m) -> DiscretePath:
@@ -210,11 +225,8 @@ def _spike_train(interval, background, spike, m) -> DiscretePath:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must satisfy a < b")
-    times, values = [[a]], [background]
-    _spike_block(a, b, background, spike, m, times, values)
-    times.append([b])
-    values.append(background)
-    return DiscretePath(np.concatenate(times), values, (a, b))
+    block = _spike_block(a, b, background, spike, m)
+    return _spike_path((a, b), [([a], [background]), block, ([b], [background])])
 
 
 SpikeBlock = namedtuple("SpikeBlock", "n u w gap m_raw m_used capped")
@@ -291,17 +303,14 @@ def gen_step4_path(
     [1/(n+1), 1] keeps exactly blocks 1..n.
     """
     blocks = step4_blocks(p, q, pairs, depth, cap, strict)
-    space = blocks[0].u.space
-    times, values = [[0.0]], [space.zero()]
+    pieces = [([0.0], [blocks[0].u.space.zero()])]
     for block in reversed(blocks):
         t0 = 1.0 / (block.n + 1)
         t1 = 1.0 / block.n
-        times.append([t0])
-        values.append(block.w)
-        _spike_block(t0, t1, block.w, block.u, block.m_used, times, values)
-    times.append([1.0])
-    values.append(blocks[0].w)
-    return DiscretePath(np.concatenate(times), values, (0.0, 1.0))
+        pieces.append(([t0], [block.w]))
+        pieces.append(_spike_block(t0, t1, block.w, block.u, block.m_used))
+    pieces.append(([1.0], [blocks[0].w]))
+    return _spike_path((0.0, 1.0), pieces)
 
 
 def step4_restricted_bound(p: float, n: int) -> float:

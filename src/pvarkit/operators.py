@@ -211,7 +211,8 @@ def compose_path(f: Generator, path: DiscretePath) -> DiscretePath:
     ``f`` is applied once per distinct value object, in order of first
     appearance; samples holding the same object share its image.
     """
-    return path._mapped([f(v) for v in path.distinct])
+    images = [f(v) for v in path.distinct]
+    return DiscretePath._from_codes(path.times, path.interval, images, path.codes)
 
 
 @dataclass

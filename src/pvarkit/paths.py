@@ -30,9 +30,11 @@ class DiscretePath:
     The samples are grouped once, by value object: ``distinct`` holds the
     value objects in order of first appearance and ``codes`` each sample's
     index into it, ``range(len(path))`` when no object repeats.  Maps and
-    embeddings then run once per distinct object.  A path built from the
-    rows of its embedding (``_from_rows``) makes ``distinct`` from them on
-    first read; until then it holds no value object at all.
+    embeddings then run once per distinct object.  ``compose_path``,
+    ``restrict`` and the spike trains (``gen_step4_path``, ``gen_thm6_spikes``,
+    ``gen_remark_spikes``) build theirs from codes (``_from_codes``), grouping
+    no sample.  A path built from the rows of its embedding (``_from_rows``)
+    makes ``distinct`` from them on first read; until then it holds none.
     """
 
     __slots__ = (
@@ -51,28 +53,24 @@ class DiscretePath:
         self._fill(times, interval, *_group(values), values)
 
     @classmethod
-    def _from_rows(cls, times, interval, space, rows: np.ndarray, index: np.ndarray):
+    def _from_codes(cls, times, interval, distinct, codes, space=None, rows=None) -> "DiscretePath":
+        """The path whose sample i holds ``distinct[codes[i]]``, both as
+        grouping the samples gives them (``_group``); the times are checked
+        as the constructor checks them."""
+        times, interval = _checked_times(times, len(codes), interval)
+        out = object.__new__(cls)
+        out._fill(times, interval, distinct, codes, None, space, rows)
+        return out
+
+    @classmethod
+    def _from_rows(cls, times, interval, space, fill, index: np.ndarray) -> "DiscretePath":
         """The path whose sample i is the sparse vector with coordinate
         ``rows[i, j]`` at index ``index[j]``, every sample its own value.
-
-        ``rows`` is a (samples, columns) float matrix and ``index`` the
-        ascending positive indices of its columns, exactly the union of the
-        rows' supports: ``distinct_matrix()`` is then ``rows`` itself, as
-        the embedding of the vectors would give it bit for bit.  The vectors
-        are made on the first read of ``distinct`` or ``values``; the matrix
-        is checked, as any embedding, on the first read of it.
-        """
-        times, interval = _checked_times(times, rows.shape[0], interval)
-        out = object.__new__(cls)
-        out._fill(times, interval, None, range(rows.shape[0]), None, space, (rows, index))
-        return out
-
-    def _mapped(self, images: list[Vector]) -> "DiscretePath":
-        """The path on this time grid holding ``images[c]`` where this one
-        holds ``distinct[c]``."""
-        out = object.__new__(DiscretePath)
-        out._fill(self.times, self.interval, images, self.codes, None)
-        return out
+        ``fill(rows)`` writes ``rows`` into a zero matrix on its first read,
+        after its size is checked.  ``index`` is exactly the union of the
+        rows' supports, ascending, so the matrix is the vectors' embedding
+        bit for bit; they are made from it when ``distinct`` is first read."""
+        return cls._from_codes(times, interval, None, range(len(times)), space, (fill, index))
 
     def _fill(self, times, interval, distinct, codes, values, space=None, rows=None) -> None:
         if space is None:
@@ -95,8 +93,8 @@ class DiscretePath:
         """The value objects, by first appearance; from the rows, on first
         read, for a path built from them."""
         if self._distinct is None:
-            (rows, index), vectors = self._rows, []
-            for row in rows:
+            index, vectors = self._rows[1], []
+            for row in self._filled() if self._embedding is None else self._embedding:
                 at = row.nonzero()[0]
                 vectors.append(Vector(self.space, dict(zip(index[at].tolist(), row[at].tolist()))))
             object.__setattr__(self, "_distinct", vectors)
@@ -126,16 +124,23 @@ class DiscretePath:
         path was built from, or the embedding of its vectors.
 
         This is where every embedding is checked, on first read: one above
-        ``spaces.MAX_EMBED_BYTES`` raises :class:`TooLarge`, NaN and infinite
-        coordinates, which the engine cannot group, :class:`PathInvariantError`.
+        ``spaces.MAX_EMBED_BYTES`` raises :class:`TooLarge` before it is
+        made, NaN and infinite coordinates, which the engine cannot group,
+        :class:`PathInvariantError`.
         """
         if self._embedding is None:
-            mat = _embed(self.distinct) if self._rows is None else self._rows[0]
-            _check_embed_size(*mat.shape)
+            if self._rows is not None:  # _embed checks its own size first
+                _check_embed_size(len(self), self._rows[1].size)
+            mat = _embed(self.distinct) if self._rows is None else self._filled()
             if not np.isfinite(mat).all():
                 raise PathInvariantError("values must have finite coordinates")
             object.__setattr__(self, "_embedding", mat)
         return self._embedding
+
+    def _filled(self) -> np.ndarray:
+        rows = np.zeros((len(self), self._rows[1].size))
+        self._rows[0](rows)
+        return rows
 
     def coordinate_matrix(self) -> np.ndarray:
         """The (samples, d) coordinate embedding of the values, cached: the
@@ -149,7 +154,7 @@ class DiscretePath:
         return self._matrix
 
     def restrict(self, c: float, d: float) -> "DiscretePath":
-        """The sub-path on [c, d]; both endpoints must be sample times."""
+        """The sub-path on [c, d], keeping this path's codes; both ends must be sample times."""
         if not c < d:
             raise ValueError("restriction needs c < d")
         times = self.times
@@ -159,7 +164,10 @@ class DiscretePath:
         j = np.searchsorted(times, d)
         if j == times.size or times[j] != d:
             raise NotASampleTime("d=%r is not a sample time" % (d,))
-        return DiscretePath(times[i : j + 1].copy(), self.values[i : j + 1], (c, d))
+        sub = np.asarray(self.codes[i : j + 1])
+        used, codes = _renumber(sub)
+        distinct = list(map(self.distinct.__getitem__, sub[used].tolist()))
+        return DiscretePath._from_codes(times[i : j + 1], (c, d), distinct, codes)
 
     def to_json(self) -> dict:
         return {
@@ -225,14 +233,20 @@ def _checked_times(times, count: int, interval) -> tuple[np.ndarray, tuple[float
 
 def _group(values: list[Vector]) -> tuple[list[Vector], range | np.ndarray]:
     """The distinct objects of ``values`` by first appearance, and each one's code."""
-    n = len(values)
-    ids = np.fromiter(map(id, values), np.uint64, n)  # values keeps every id in use
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    if first.size == n:
-        return values, range(n)
+    ids = np.fromiter(map(id, values), np.uint64, len(values))  # values keeps every id in use
+    first, codes = _renumber(ids)
+    return values if isinstance(codes, range) else [values[i] for i in first.tolist()], codes
+
+
+def _renumber(keys: np.ndarray) -> tuple[np.ndarray, range | np.ndarray]:
+    """Where each distinct key first appears, in that order, and each key's
+    rank in it: ``range(n)`` when no key repeats, else read-only ``np.intp``."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size == keys.size:
+        return np.arange(keys.size), range(keys.size)
     order = first.argsort()
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     codes = rank[inverse]
     codes.flags.writeable = False  # shared by the paths composed from this one
-    return [values[i] for i in first[order].tolist()], codes
+    return first[order], codes

@@ -39,3 +39,19 @@ def corpus500():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def assert_grouped_alike(got, want):
+    """``got`` holds ``want``'s samples grouped alike: the same times, bit
+    for bit, the same codes (values and dtype, or the same range) and the
+    same distinct objects by identity."""
+    assert got.interval == want.interval
+    assert got.times.dtype == want.times.dtype and got.times.tobytes() == want.times.tobytes()
+    assert type(got.codes) is type(want.codes)
+    if isinstance(want.codes, range):
+        assert got.codes == want.codes
+    else:
+        assert got.codes.dtype == want.codes.dtype and got.codes.tolist() == want.codes.tolist()
+        assert not got.codes.flags.writeable
+    assert len(got.distinct) == len(want.distinct)
+    assert all(a is b for a, b in zip(got.distinct, want.distinct))

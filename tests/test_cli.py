@@ -461,11 +461,12 @@ def test_embedding_above_the_size_limit_is_invariant_violation(tmp_path, capsys,
 def test_lab_example3_with_a_non_finite_row_is_invariant_violation(tmp_path, capsys, monkeypatch):
     # a generator's rows are checked as any embedding, when pvar first reads them
     def gen(depth):
-        rows = np.zeros((depth + 1, depth))
-        rows[:depth, 0], rows[depth // 2, -1] = 1.0, math.nan
+        def fill(rows):
+            rows[:depth, 0], rows[depth // 2, -1] = 1.0, math.nan
+
         times = [1.0 - 1.0 / n for n in range(1, depth + 1)] + [1.0]
         space = spaces.VectorSpace("sparse", spaces.LINF)
-        return DiscretePath._from_rows(times, (0.0, 1.0), space, rows, np.arange(1, depth + 1))
+        return DiscretePath._from_rows(times, (0.0, 1.0), space, fill, np.arange(1, depth + 1))
 
     monkeypatch.setattr(lab, "gen_example3", gen)
     out = tmp_path / "r.csv"

@@ -8,11 +8,13 @@ variation oracle.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pvarkit import spaces
+from pvarkit import paths, spaces
+from pvarkit.cli import main
 
 from pvarkit.errors import (
     BlockTooLarge,
@@ -21,6 +23,7 @@ from pvarkit.errors import (
     NoViolatorFound,
     PathInvariantError,
     SpikeOverflow,
+    TooLarge,
 )
 from pvarkit.lab import (
     DEFAULT_DEPTHS,
@@ -47,6 +50,8 @@ from pvarkit.operators import Generator, compose_path, epsilon_covering
 from pvarkit.paths import DiscretePath
 from pvarkit.spaces import LINF, Vector, VectorSpace, diff_norm, norm
 from pvarkit.variation import bv_norm, pvar, pvar_bruteforce, pvar_restricted, sup_norm
+
+from conftest import assert_grouped_alike
 
 POWER_CANDIDATES = power_divergence_candidates()
 
@@ -136,18 +141,33 @@ def test_example3_agrees_with_the_dict_built_path(depth):
 def test_rows_are_checked_when_first_read():
     space, index = VectorSpace("sparse", LINF), np.arange(1, 3)
     rows = np.array([[1.0, 0.0], [1.0, math.inf], [0.0, 0.0]])
-    path = DiscretePath._from_rows([0.0, 0.5, 1.0], (0.0, 1.0), space, rows, index)
+
+    def fill(out):
+        out[:] = rows
+
+    path = DiscretePath._from_rows([0.0, 0.5, 1.0], (0.0, 1.0), space, fill, index)
     for _ in range(2):  # a failed check is not cached
         with pytest.raises(PathInvariantError, match="finite coordinates"):
             path.distinct_matrix()
     # the times and interval are checked as the constructor checks them
     for times, interval, message in [
-        ([0.0, 1.0], (0.0, 1.0), "equal length"),
         ([0.0, 1.0, 0.5], (0.0, 0.5), "strictly increasing"),
         ([0.0, 0.5, 1.0], (0.0, 2.0), "interval end"),
     ]:
         with pytest.raises(PathInvariantError, match=message):
-            DiscretePath._from_rows(times, interval, space, rows, index)
+            DiscretePath._from_rows(times, interval, space, fill, index)
+
+
+def test_example3_above_the_size_limit_is_refused_before_it_is_filled(monkeypatch):
+    monkeypatch.setattr(spaces, "MAX_EMBED_BYTES", 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="needs 8008000 bytes"):
+            gen_example3(1000).distinct_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the 8 MB matrix is never made
 
 
 def test_example3_experiment_makes_no_vector(monkeypatch):
@@ -227,6 +247,64 @@ def test_spike_path_restriction_keeps_shallow_blocks():
     assert pvar_restricted(path, 1.0, 0.5, 1.0).value == pytest.approx(
         pvar_restricted(shallow, 1.0, 0.5, 1.0).value, rel=1e-12
     )
+
+
+def _step4_pairs():
+    f = Generator.power(0.25)
+    M = max(norm(f(v)) for v in POWER_CANDIDATES)
+    return find_holder_violators(f, 1.0, 2.0, M, POWER_CANDIDATES, 12)
+
+
+def _shared_object_pairs():
+    # v1 is block 1's background and block 2's spike; v0 is the background
+    # of blocks 2 and 3
+    v0, v1 = Vector.dense([0.0]), Vector.dense([1.0 / 64.0])
+    v2, v3 = Vector.dense([1.0 / 16.0 + 1.0 / 64.0]), Vector.dense([1.0 / 256.0])
+    return [(v2, v1), (v1, v0), (v3, v0)]
+
+
+def _spike_paths():
+    pairs = _step4_pairs()
+    for depth in range(1, 13):
+        for cap in (SPIKE_CAP, 50):
+            path = gen_step4_path(1.0, 2.0, pairs, depth, cap=cap)
+            yield pytest.param(path, id="step4 depth %d cap %d" % (depth, cap))
+    for depth in (1, 2, 3):
+        path = gen_step4_path(1.0, 2.0, _shared_object_pairs(), depth)
+        yield pytest.param(path, id="shared objects depth %d" % depth)
+    one_pair = [(Vector.dense([1.0 / 256.0]), Vector.dense([0.0]))] * 3  # every block's
+    yield pytest.param(gen_step4_path(1.0, 2.0, one_pair), id="one pair in every block")
+    yield pytest.param(gen_thm6_spikes(Vector.dense([0.25]), Vector.dense([0.0]), 1.0), id="thm6")
+    w, u = Vector.dense([-0.3]), Vector.dense([-0.5])
+    yield pytest.param(gen_thm6_spikes(u, w, 1.5, (2.0, 5.0)), id="thm6 on [2, 5]")
+    w, u = Vector.dense([0.0, 0.1]), Vector.dense([0.1, 0.2])
+    yield pytest.param(gen_thm6_spikes(u, w, 2.0), id="thm6 in two coordinates")
+    for n in (1, 2, 7, 64):
+        yield pytest.param(gen_remark_spikes(Vector.dense([0.81]), n), id="remark %d" % n)
+    path = gen_remark_spikes(Vector.sparse({3: 1.0}), 5, (-1.0, 1.0))
+    yield pytest.param(path, id="remark sparse on [-1, 1]")
+
+
+@pytest.mark.parametrize("path", list(_spike_paths()))
+def test_spike_builders_equal_their_regrouped_twins(path):
+    twin = DiscretePath(path.times, path.values, path.interval)
+    assert_grouped_alike(path, twin)
+    for p in (1.0, 2.0):
+        got, want = pvar(path, p), pvar(twin, p)
+        assert got.value.hex() == want.value.hex() and got.partition == want.partition
+
+
+def test_spike_experiments_group_no_sample(tmp_path, monkeypatch):
+    def refuse(values):
+        raise AssertionError("grouped %d samples" % len(values))
+
+    monkeypatch.setattr(paths, "_group", refuse)
+    for experiment in ("step4", "thm6", "remark"):
+        out = tmp_path / (experiment + ".csv")
+        assert main(["lab", "--experiment", experiment, "--out", str(out)]) == 0
+        assert out.exists()
+    with pytest.raises(AssertionError, match="grouped"):
+        DiscretePath([0.0, 1.0], [Vector.dense([0.0])] * 2)  # the patch is in place
 
 
 # frozen closed forms at p = 1

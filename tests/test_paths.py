@@ -14,6 +14,8 @@ from pvarkit.paths import DiscretePath
 from pvarkit.spaces import L1, L2, LINF, Vector, VectorSpace
 from pvarkit.variation import pvar
 
+from conftest import assert_grouped_alike
+
 
 def scalar_path(times, xs, interval=None):
     values = [Vector.dense([x]) for x in xs]
@@ -181,9 +183,23 @@ def test_grouping_by_object_matches_the_sample_rows(path):
     assert list(composed.codes) == list(path.codes)
     want = spaces.coordinate_matrix([v * 2.0 for v in path.values])
     assert _bits(composed.coordinate_matrix()) == _bits(want)
-    sub = path.restrict(path.times[1], path.times[-1])  # regrouped
+    sub = path.restrict(path.times[1], path.times[-1])
     assert all(v is w for v, w in zip(sub.values, path.values[1:]))
     assert _bits(sub.coordinate_matrix()) == _bits(spaces.coordinate_matrix(path.values[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_object_paths(), st.data())
+def test_restriction_is_its_regrouped_twin(path, data):
+    # restrict keeps the codes, renumbered; regrouping its samples must agree
+    i = data.draw(st.integers(0, len(path) - 2))
+    j = data.draw(st.integers(i + 1, len(path) - 1))
+    c, d = float(path.times[i]), float(path.times[j])
+    own = DiscretePath(path.times, [Vector(v.space, copy.copy(v.data)) for v in path.values])
+    for p in (path, own, compose_path(Generator.custom(lambda v: v * 2.0), path)):
+        sub, twin = p.restrict(c, d), DiscretePath(p.times[i : j + 1], p.values[i : j + 1], (c, d))
+        assert_grouped_alike(sub, twin)
+        assert pvar(sub, 1.5) == pvar(twin, 1.5)
 
 
 def test_only_the_gathered_embedding_counts_every_sample(monkeypatch):
