@@ -33,7 +33,7 @@ from .errors import (
     SpikeOverflow,
 )
 from .operators import Generator, compose_path, epsilon_covering
-from .paths import DiscretePath
+from .paths import DiscretePath, _checked_times
 from .spaces import (
     L2,
     LINF,
@@ -207,7 +207,8 @@ def _spike_path(interval, pieces) -> DiscretePath:
     codes = np.concatenate(codes)
     codes.flags.writeable = False
     distinct = [v for _, v in code.values()]
-    return DiscretePath._from_codes(np.concatenate(times), interval, distinct, codes)
+    times, interval = _checked_times(np.concatenate(times), len(codes), interval)
+    return DiscretePath._from_codes(times, interval, distinct, codes)
 
 
 def _spike_block(t0, t1, background, spike, m):

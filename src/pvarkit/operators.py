@@ -32,7 +32,7 @@ from .errors import (
     PathInvariantError,
     TooFewPoints,
 )
-from .paths import DiscretePath
+from .paths import DiscretePath, _group
 from .spaces import (
     _BIG,
     _EPS,
@@ -209,10 +209,16 @@ def compose_path(f: Generator, path: DiscretePath) -> DiscretePath:
     """Apply ``f`` to every sample value, keeping the time grid.
 
     ``f`` is applied once per distinct value object, in order of first
-    appearance; samples holding the same object share its image.
+    appearance; samples holding the same object share its image, and
+    images of one object are grouped, as values are.  The identity's
+    images are their values, whose ties ``estimate_holder`` takes as final.
     """
-    images = [f(v) for v in path.distinct]
-    return DiscretePath._from_codes(path.times, path.interval, images, path.codes)
+    images, codes = [f(v) for v in path.distinct], path.codes
+    if len(set(map(id, images))) < len(images):  # one object for two values
+        images, sub = _group(images)
+        codes = sub if isinstance(codes, range) else sub[codes]
+        codes.flags.writeable = False
+    return DiscretePath._from_codes(path.times, path.interval, images, codes)
 
 
 @dataclass
@@ -261,11 +267,11 @@ def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> Hol
     band covers (underflow, overflow, NaN) take those scalar steps in
     full.  Constant, witness and pair count are the plain loop's, bit for
     bit.  Ratios tied within the band are each re-scored, except at alpha
-    = 1 where ``spaces.exact_array_distances`` holds for points and images
-    (dense l1 and l2, and linf): there an array ratio is the scalar one, so
-    the ties of the identity cost nothing.  Of the pairs near the maximum
-    whose ratio is final, a block keeps only its first maximum.  All
-    points, and all images, must share one space.
+    = 1 where each image is its point, as under the identity (every ratio
+    is 1.0), or ``spaces.exact_array_distances`` holds for points and
+    images (dense l1 and l2, and linf): there the array ratio is the scalar
+    one.  Of the pairs near the maximum whose ratio is final, a block keeps
+    only its first maximum.  All points, and all images, must share one space.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -307,8 +313,10 @@ def _holder_scan(
         _distance_error(pmat.shape[1]) + _distance_error(imat.shape[1]) + (_POW_ULPS + 2) * _EPS
     )
     cut = 1.0 - 3.0 * band
-    # array distances with diff_norm's bits: at alpha = 1 the array ratio is the scalar one
-    same = alpha == 1.0 and all(exact_array_distances(v[0].space) for v in (points, images))
+    # at alpha = 1 a trusted array ratio is the scalar one where array distances have
+    # diff_norm's bits, and where each image is its point: d / d ** 1.0 = x / x ** 1.0 = 1.0
+    same = alpha == 1.0 and (all(u is w for u, w in zip(points, images)) or all(
+        exact_array_distances(v[0].space) for v in (points, images)))
 
     def scalar(i: int, j: int) -> float:
         r = diff_norm(images[i], images[j]) / diff_norm(points[i], points[j]) ** alpha
@@ -458,12 +466,16 @@ def _value_pairs(path: DiscretePath, composed: DiscretePath):
     a pair matters only to sparse norms: pairs i < j also occur as j before
     i when a sample of j comes before the last of i.
     """
+    pmat, imat, images = path.distinct_matrix(), composed.distinct_matrix(), composed.distinct
+    if len(images) < len(path.distinct):  # grouped images: each value's through its first sample
+        at = composed.codes[np.unique(path.codes, return_index=True)[1]]
+        imat, images = imat[at], [images[c] for c in at.tolist()]
     groups: dict = {}
-    pairs = zip(map(_key, path.distinct), map(_key, composed.distinct))
+    pairs = zip(map(_key, path.distinct), map(_key, images))
     group = np.array([groups.setdefault(pair, len(groups)) for pair in pairs])
     heads = np.unique(group, return_index=True)[1].tolist()
-    points, images = [path.distinct[h] for h in heads], [composed.distinct[h] for h in heads]
-    pmat, imat = path.distinct_matrix()[heads], composed.distinct_matrix()[heads]
+    points, images = [path.distinct[h] for h in heads], [images[h] for h in heads]
+    pmat, imat = pmat[heads], imat[heads]
     both_ways = None
     if len(groups) < len(path) and "sparse" in (path.space.kind, composed.space.kind):
         codes = group[path.codes]

@@ -55,9 +55,8 @@ class DiscretePath:
     @classmethod
     def _from_codes(cls, times, interval, distinct, codes, space=None, rows=None) -> "DiscretePath":
         """The path whose sample i holds ``distinct[codes[i]]``, both as
-        grouping the samples gives them (``_group``); the times are checked
-        as the constructor checks them."""
-        times, interval = _checked_times(times, len(codes), interval)
+        grouping the samples gives them (``_group``), on times and interval
+        as ``_checked_times`` returns them, which a path's own already are."""
         out = object.__new__(cls)
         out._fill(times, interval, distinct, codes, None, space, rows)
         return out
@@ -70,6 +69,7 @@ class DiscretePath:
         after its size is checked.  ``index`` is exactly the union of the
         rows' supports, ascending, so the matrix is the vectors' embedding
         bit for bit; they are made from it when ``distinct`` is first read."""
+        times, interval = _checked_times(times, len(times), interval)
         return cls._from_codes(times, interval, None, range(len(times)), space, (fill, index))
 
     def _fill(self, times, interval, distinct, codes, values, space=None, rows=None) -> None:
@@ -167,7 +167,7 @@ class DiscretePath:
         sub = np.asarray(self.codes[i : j + 1])
         used, codes = _renumber(sub)
         distinct = list(map(self.distinct.__getitem__, sub[used].tolist()))
-        return DiscretePath._from_codes(times[i : j + 1], (c, d), distinct, codes)
+        return DiscretePath._from_codes(times[i : j + 1], (float(c), float(d)), distinct, codes)
 
     def to_json(self) -> dict:
         return {

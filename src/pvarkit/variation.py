@@ -355,7 +355,8 @@ def _take_run(table, top, arg, link, best, i: int, a: int, b: int, w: int) -> in
     link's V + g is a candidate an earlier step took into that own best,
     so it falls below V.  V comes from one accumulate over the gains, which
     adds left to right, rounding each sum once, as the scalar + does.  Up
-    to ``w`` steps are tried and the longest prefix that holds is taken.
+    to ``w`` steps are tried and the longest prefix that holds is taken,
+    its V and links going into ``best`` and ``link`` by buffer copies.
     """
     g = np.empty(w + 1)
     g[0], g[1::2], g[2::2] = best[i - 1], table[a][b], table[b][a]
@@ -364,9 +365,10 @@ def _take_run(table, top, arg, link, best, i: int, a: int, b: int, w: int) -> in
     own[0], own[1:] = top[a], v[: w - 1]
     ok = v[1:] > own
     taken = w if ok.all() else int(ok.argmin())
-    if taken:
-        best[i : i + taken] = array("d", v[1 : taken + 1].tobytes())
-        link[i], link[i + 1 : i + taken] = arg[a], array("q", range(i - 1, i + taken - 2))
+    if taken:  # numpy's "q" is the C long long that array("q") holds
+        np.frombuffer(best)[i : i + taken] = v[1 : taken + 1]
+        link[i] = arg[a]
+        np.frombuffer(link, "q")[i + 1 : i + taken] = np.arange(i - 1, i + taken - 2, dtype="q")
         last = i + taken - 1
         for x in (last - 1, last) if taken > 1 else (last,):
             c = b if (x - i) % 2 else a

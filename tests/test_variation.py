@@ -6,6 +6,7 @@ honest is the core correctness argument for everything built on top.
 """
 
 import math
+from array import array
 from contextlib import contextmanager
 from functools import partial
 
@@ -20,6 +21,7 @@ from pvarkit.lab import (
     find_holder_violators,
     gen_example3,
     gen_step4_path,
+    gen_thm6_spikes,
     power_divergence_candidates,
 )
 from pvarkit.operators import Generator, compose_path
@@ -683,6 +685,47 @@ def test_long_alternation_takes_few_scalar_steps(monkeypatch):
     with no_run_route():
         assert pvar(path, 2.0) == res
     assert len(steps) == 39999
+
+
+def table_dp_state(path, p, monkeypatch):
+    """``_table_dp``'s best, pred and runs on ``path``, and its links, read
+    from the array ``_first_reaching`` is handed at its first call."""
+    links = []
+    first_reaching = variation._first_reaching
+
+    def kept(r, g, v, link, best):
+        links.append(link)
+        return first_reaching(r, g, v, link, best)
+
+    monkeypatch.setattr(variation, "_first_reaching", kept)
+    codes, rows = variation._value_table(path)
+    best, pred, runs = variation._table_dp(codes, rows, path.space.norm, p)
+    return best, pred, runs, links[0]
+
+
+def test_runs_leave_the_scalar_steps_state(monkeypatch):
+    # a run writes V and links by buffer copies: the same bytes as the
+    # scalar steps, and pred left 0 where the walk back reads the run
+    assert array("q").itemsize == np.dtype("q").itemsize
+    f = Generator.power(0.25)
+    candidates = power_divergence_candidates()
+    M = max(vector_norm(f(v)) for v in candidates)
+    pairs = find_holder_violators(f, 1.0, 2.0, M, candidates, 16)
+    paths = [compose_path(f, gen_step4_path(1.0, 2.0, pairs, d)) for d in (12, 16)]
+    paths.append(gen_thm6_spikes(Vector.dense([0.5]), Vector.dense([0.49]), 2.0))
+    paths.append(DiscretePath(np.arange(200000.0), [Vector.dense([t % 2.0]) for t in range(200000)]))
+    for path in paths:
+        best, pred, runs, link = table_dp_state(path, 2.0, monkeypatch)
+        with no_run_route():
+            want_best, want_pred, no_runs, want_link = table_dp_state(path, 2.0, monkeypatch)
+        assert len(runs) > 0 and no_runs == []
+        assert best.tobytes() == want_best.tobytes() and link.tobytes() == want_link.tobytes()
+        got, want = np.frombuffer(pred, "q"), np.frombuffer(want_pred, "q").copy()
+        for first, last in runs:
+            assert (got[first : last + 1] == 0).all()
+            assert (want[first : last + 1] == np.arange(first - 1, last)).all()
+            want[first : last + 1] = 0
+        assert np.array_equal(got, want)
 
 
 def test_accumulate_adds_left_to_right():
