@@ -401,11 +401,11 @@ class BoundCheckReport:
     var_q: float
     bound_holds: bool
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict:  # JSON has no Infinity: "inf", as HolderEstimate writes it
         return {
-            "L_hat": self.l_hat,
+            "L_hat": self.l_hat if math.isfinite(self.l_hat) else "inf",
             "var_p": self.var_p,
-            "var_q": self.var_q,
+            "var_q": self.var_q if math.isfinite(self.var_q) else "inf",
             "bound_holds": self.bound_holds,
         }
 

@@ -196,39 +196,34 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     gives each element the same bits at every length and offset.  Where the
     samples alternate two values, that route takes each step whose previous
     sample is the only best predecessor in windows of up to ``RUN_CAP``
-    steps, V by one accumulate, and walks each such run back in one range
-    (see ``_take_run``): the 43,498-sample spike train of step4's depth 12
-    takes 24 scalar steps.  Larger
-    tables of fewer than 8 columns take ``_batched_dp``: ``BATCH_STEPS``
-    steps at a time, scored through distance panels, skip blocks of values
-    certified below each step's maximum.  Wider tables take the scan, which
+    steps, V by one accumulate (see ``_take_run``): the 43,498-sample spike
+    train of step4's depth 12 takes 24 scalar steps.  Larger tables of
+    fewer than 8 columns take ``_batched_dp``: ``BATCH_STEPS`` steps at a
+    time, scored through distance panels, skip blocks of values certified
+    below each step's maximum.  Wider tables take the scan, which
     differences only values ``_DistanceBound`` does not certify strictly
-    below the previous value's candidate."""
+    below the previous value's candidate.  Each returns V and predecessors
+    in the arrays of ``_dp_state``, for ``_walk_back``."""
     p = _check_exponent(p)
     codes, rows = _value_table(path)
     k, cols = rows.shape
     route = _table_dp if k <= TABLE_MAX_VALUES else _batched_dp if cols < 8 else _scan_dp
     with np.errstate(over="ignore"):  # an infinite power or bound is taken as such
-        best, pred, *runs = route(codes, rows, path.space.norm, p)
-    if isinstance(pred, np.ndarray):  # the scan's: walk Python ints
-        pred = pred.tolist()
+        best, pred = route(codes, rows, path.space.norm, p)
     result = PVarResult.__new__(PVarResult)  # its partition walked back when read
-    result.p, result.value, result._walk = p, float(best[-1]), partial(_walk_back, pred, *runs)
+    result.p, result.value, result._walk = p, best[-1], partial(_walk_back, pred)
     return result
 
 
-def _walk_back(pred: Sequence[int], runs: Sequence[tuple[int, int]] = ()) -> list[int]:
-    """The partition ending at the last sample along ``pred``, each run of
-    samples (first, last) taken in one range: their predecessors are the
-    samples before them."""
+def _dp_state(s: int) -> tuple[array, array, array]:
+    """Links (-1 ends a chain), V and predecessors of ``s`` samples: typed
+    arrays, 8 bytes a sample and no Python object, taking runs by copies."""
+    return array("q", [-1]) * s, array("d", [0.0]) * s, array("q", [0]) * s
+
+
+def _walk_back(pred: Sequence[int]) -> list[int]:
+    """The partition ending at the last sample along ``pred``."""
     i, partition = len(pred) - 1, []
-    for first, last in reversed(runs):
-        while i > last:
-            partition.append(i)
-            i = pred[i]
-        if i >= first:
-            partition.extend(range(i, first - 1, -1))
-            i = first - 1
     while i:
         partition.append(i)
         i = pred[i]
@@ -237,21 +232,21 @@ def _walk_back(pred: Sequence[int], runs: Sequence[tuple[int, int]] = ()) -> lis
     return partition
 
 
-def _value_table(path: DiscretePath) -> tuple[range | np.ndarray, np.ndarray]:
+def _value_table(path: DiscretePath) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's code and the distinct rows, numbered by first appearance.
 
     The rows of the path's distinct value objects are grouped by float ==
     (so -0.0 and 0.0 are one value), and their codes taken through the
     path's: the table grouping every sample's row would give, bit for bit.
-    Codes come as the path's array (or a range), for routes to read as they
-    need.
+    Codes come as an integer array: a range as ``np.arange``, as
+    ``np.asarray`` of a range reads a Python int a sample.
     """
     sub, rows = _distinct_rows(path.distinct_matrix())
     codes = path.codes
     if not isinstance(sub, range):  # equal rows under distinct objects, coded in bytes if few
         sub = sub.astype(np.min_scalar_type(len(rows) - 1))
         codes = sub if isinstance(codes, range) else sub[codes]
-    return codes, rows
+    return np.arange(len(codes)) if isinstance(codes, range) else codes, rows
 
 
 def _first_reaching(r: int, g: float, v: float, link, best) -> int:
@@ -266,29 +261,25 @@ def _first_reaching(r: int, g: float, v: float, link, best) -> int:
     return r
 
 
-def _table_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
+def _table_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
     """``_scan_dp`` in Python floats over table[c][t] = d(value t, value c)^p.
 
     Alternating stretches of at least ``RUN_MIN`` steps are offered to
     ``_take_run`` a window at a time: ``RUN_STEPS`` steps, doubling while
     whole windows are taken, to ``RUN_CAP``.  The step a window stops at
-    goes to the scalar step, and so does every other step.  Returns best,
-    pred and the runs taken, (first, last) sample pairs within which each
-    sample's predecessor is the one before it (pred is left 0 there).
+    goes to the scalar step, and so does every other step.  Either way a
+    step writes its V, link and predecessor as the scalar step would.
     """
     buf = block_buffer(*rows.shape)
     table = [(row_distances(rows, x, kind, buf) ** p).tolist() for x in rows]
     s = len(codes)
     top, arg = [0.0], [0]  # best V and its smallest index, per value seen
-    # typed arrays hold no object a sample, and take a run in one copy
-    link, best, pred = array("q", [-1]) * s, array("d", [0.0]) * s, array("q", [0]) * s
-    runs = []
+    link, best, pred = _dp_state(s)
     stretches = iter(_alternations(codes))
     lo, hi = next(stretches, (s, s))  # the next window starts at step lo
     i, window, seen = 1, RUN_STEPS, 1
     while True:
-        span = codes[i:lo]
-        for i, c in zip(range(i, lo), span if isinstance(span, range) else span.tolist()):
+        for i, c in zip(range(i, lo), codes[i:lo].tolist()):
             gain = table[c]
             cand = list(map(add, top, gain))
             v = max(cand)
@@ -314,12 +305,7 @@ def _table_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
         i, w, taken = lo, min(window, hi - lo), 0
         b, a = codes[i - 1 : i + 1].tolist()
         if arg[b] == i - 1:  # the previous sample holds b's best (so top[b] is its V)
-            taken = _take_run(table, top, arg, link, best, i, a, b, w)
-        if taken:
-            if runs and runs[-1][1] == i - 1:
-                runs[-1] = (runs[-1][0], i + taken - 1)
-            else:
-                runs.append((i, i + taken - 1))
+            taken = _take_run(table, top, arg, link, best, pred, i, a, b, w)
         if taken == w:
             lo, window = i + w, min(2 * window, RUN_CAP)
         else:  # step i + taken goes to the scalar step
@@ -327,14 +313,12 @@ def _table_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
         i += taken
         if hi - lo < RUN_MIN:
             lo, hi = next(stretches, (s, s))
-    return best, pred, runs
+    return best, pred
 
 
-def _alternations(codes: range | np.ndarray) -> list[tuple[int, int]]:
+def _alternations(codes: np.ndarray) -> list[tuple[int, int]]:
     """The steps [lo, hi) of each stretch of at least ``RUN_MIN`` steps whose
     samples repeat the value of two samples back but not of the last."""
-    if isinstance(codes, range):  # every value distinct
-        return []
     alt = (codes[2:] == codes[:-2]) & (codes[2:] != codes[1:-1])
     edges = np.flatnonzero(np.diff(alt, prepend=False, append=False)) + 2
     lo, hi = edges[::2], edges[1::2]
@@ -342,7 +326,7 @@ def _alternations(codes: range | np.ndarray) -> list[tuple[int, int]]:
     return list(zip(lo[keep].tolist(), hi[keep].tolist()))
 
 
-def _take_run(table, top, arg, link, best, i: int, a: int, b: int, w: int) -> int:
+def _take_run(table, top, arg, link, best, pred, i: int, a: int, b: int, w: int) -> int:
     """Take steps i, i + 1, ... of a stretch alternating a, b, a, ... that
     sample i - 2 began, sample i - 1 holding b's best; return how many.
 
@@ -353,10 +337,11 @@ def _take_run(table, top, arg, link, best, i: int, a: int, b: int, w: int) -> in
     along the stretch; so the candidate is the only maximum, and it raises
     its value's best.  ``_first_reaching`` from it stops at once: its
     link's V + g is a candidate an earlier step took into that own best,
-    so it falls below V.  V comes from one accumulate over the gains, which
-    adds left to right, rounding each sum once, as the scalar + does.  Up
-    to ``w`` steps are tried and the longest prefix that holds is taken,
-    its V and links going into ``best`` and ``link`` by buffer copies.
+    so it falls below V, and its predecessor is the previous sample.  V
+    comes from one accumulate over the gains, which adds left to right,
+    rounding each sum once, as the scalar + does.  Up to ``w`` steps are
+    tried and the longest prefix that holds is taken, its V, links and
+    predecessors going in by buffer copies, the last two from one range.
     """
     g = np.empty(w + 1)
     g[0], g[1::2], g[2::2] = best[i - 1], table[a][b], table[b][a]
@@ -367,8 +352,10 @@ def _take_run(table, top, arg, link, best, i: int, a: int, b: int, w: int) -> in
     taken = w if ok.all() else int(ok.argmin())
     if taken:  # numpy's "q" is the C long long that array("q") holds
         np.frombuffer(best)[i : i + taken] = v[1 : taken + 1]
+        prev = np.arange(i - 1, i + taken - 1, dtype="q")
+        np.frombuffer(pred, "q")[i : i + taken] = prev
         link[i] = arg[a]
-        np.frombuffer(link, "q")[i + 1 : i + taken] = np.arange(i - 1, i + taken - 2, dtype="q")
+        np.frombuffer(link, "q")[i + 1 : i + taken] = prev[:-1]
         last = i + taken - 1
         for x in (last - 1, last) if taken > 1 else (last,):
             c = b if (x - i) % 2 else a
@@ -376,7 +363,7 @@ def _take_run(table, top, arg, link, best, i: int, a: int, b: int, w: int) -> in
     return taken
 
 
-def _batched_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
+def _batched_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
     """The DP on tables of fewer than 8 columns, ``BATCH_STEPS`` steps at a time.
 
     Blocks of consecutive codes (values first seen close together) center on
@@ -393,18 +380,18 @@ def _batched_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
     src = np.arange(-size, k, size)  # the previous sample's value, then the centers
     chunk = max(1, spaces.BLOCK_BYTES // (8 * steps))  # static values to a panel
     buf = np.empty(steps * max(min(chunk, k), len(src), steps))
-    at, top, btop = np.asarray(codes), np.zeros(k), np.zeros(len(radius))  # V per value, block
-    arg, link, best, pred = [0] * k, [-1] * s, [0.0] * s, [0] * s  # see _scan_dp
+    top, btop, arg = np.zeros(k), np.zeros(len(radius)), [0] * k  # V per value, block; see _scan_dp
+    link, best, pred = _dp_state(s)
     seen = 1
     for i0 in range(1, s, steps):
-        batch = at[i0 : i0 + steps]
+        batch = codes[i0 : i0 + steps]
         order = batch.tolist()
         W = sorted(set(order)) if repeats else order
         w_at, pts = np.array(W), rows[batch]
         idx = np.arange(seen)
         if seen >= PRUNE_MIN_VALUES:  # below, bounds cost more than they save
             nb = (seen - 1) // size + 1  # the blocks with a seen value
-            src[0] = at[i0 - 1]
+            src[0] = codes[i0 - 1]
             dist = panel_distances(table[:, src[: nb + 1]].T, pts, kind, buf)
             floor = (dist ** p + top[src[: nb + 1]]).max(axis=1)[:, None]
             kept = _block_bounds(dist[:, 1:], radius[:nb], btop[:nb], p, factors) >= floor
@@ -478,7 +465,7 @@ def _static_best(table, idx, pts, kind, p: float, top, buf, chunk: int):
     return [x if x is None else x.tolist() for x in (v, t, g, c)]
 
 
-def _scan_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
+def _scan_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
     """The DP differencing the current sample from the values seen each
     step that ``_DistanceBound`` does not certify strictly below the
     previous sample's candidate."""
@@ -487,11 +474,9 @@ def _scan_dp(codes: range | np.ndarray, rows: np.ndarray, kind, p: float):
     buf = block_buffer(k, cols)  # reused by every step
     top = np.zeros(k)  # best V over the samples of each value
     arg = [0] * k  # the smallest index reaching it
-    link = np.full(s, -1)  # see _first_reaching
-    best = np.zeros(s)
-    pred = np.zeros(s, dtype=np.int64)
+    link, best, pred = _dp_state(s)
     bound = _DistanceBound(rows, kind, p, codes)
-    codes = codes if isinstance(codes, range) else codes.tolist()
+    codes = codes.tolist()
     seen = 1
     for i in range(1, s):
         c = codes[i]

@@ -272,6 +272,44 @@ def test_bound_check_with_overflowing_norms_exits_3(tmp_path, capsys, xs, gen, q
     assert captured.out == "" and not out.exists()
 
 
+def strict_json(path):
+    """The JSON file at ``path``, refusing Infinity and NaN as RFC 8259 does."""
+
+    def refuse(name):
+        raise ValueError("%s is not JSON" % name)
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "xs, q, infinite",
+    [
+        # two samples 1e-200 apart whose images differ: L_hat is infinite
+        ([0.0, 1e-200, 0.0], "2", {"L_hat"}),
+        # and 1e150 ** (1/4) to the 5th overflows: so is var_q
+        ([0.0, 1e-200, 0.0, 1e150], "5", {"L_hat", "var_q"}),
+    ],
+)
+def test_bound_check_writes_infinite_values_as_json_strings(tmp_path, capsys, xs, q, infinite):
+    # as holder writes an infinite constant; stdout keeps printing inf
+    doc = {
+        "interval": [0.0, len(xs) - 1.0],
+        "times": [float(t) for t in range(len(xs))],
+        "space": {"kind": "dense", "dim": 1, "norm": "l2"},
+        "values": [{"dense": [x]} for x in xs],
+    }
+    inp = write_json(tmp_path / "p.json", doc)
+    gen = write_json(tmp_path / "g.json", {"name": "power", "beta": 0.5})
+    out = tmp_path / "r.json"
+    argv = ["bound-check", "--input", inp, "--gen", gen, "--p", "1", "--q", q, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "L_hat=inf " in printed and printed.rstrip().endswith("-> holds")
+    report = strict_json(out)
+    assert {key for key, value in report.items() if value == "inf"} == infinite
+    assert report["bound_holds"] is True and math.isfinite(report["var_p"])
+
+
 @pytest.mark.parametrize(
     "xs, gen, q, message",
     [

@@ -319,17 +319,32 @@ def tiny_routes(tiny):
     return (partial(batched_route, *tiny), partial(run_route, tiny[0]))
 
 
+def route_state(route, path, p):
+    """pvar's result on ``path`` under ``route``, and the bytes of the V and
+    predecessors its DP returned: every route's typed arrays."""
+    states = []
+    with route(), pytest.MonkeyPatch.context() as patch:
+        taken_routes(patch, states)
+        res = pvar(path, p)
+    [(best, pred)] = states
+    return res, (best.tobytes(), pred.tobytes())
+
+
 def check_equals_bruteforce(path, p, tiny):
+    states = set()
     for route in ROUTES + tiny_routes(tiny):
-        with route():
-            assert pvar(path, p).value == pvar_bruteforce(path, p).value
+        res, state = route_state(route, path, p)
+        assert res.value == pvar_bruteforce(path, p).value
+        states.add(state)
+    assert len(states) == 1  # a predecessor off the partition, too
 
 
 def check_partition_matches_reference(path, p, tiny):
     expected = reference_pvar(path, p)
+    states = set()
     for route in ROUTES + tiny_routes(tiny):
-        with route():
-            res = pvar(path, p)
+        res, state = route_state(route, path, p)
+        states.add(state)
         part = res.partition
         assert part[0] == 0 and part[-1] == path.n
         assert all(a < b for a, b in zip(part, part[1:]))
@@ -339,6 +354,7 @@ def check_partition_matches_reference(path, p, tiny):
             total += term
         assert total == res.value
         assert (res.value, part) == expected
+    assert len(states) == 1
 
 
 @given(repeating_paths())
@@ -463,13 +479,17 @@ def test_step4_paths_take_the_gain_table(monkeypatch):
     assert (res.value.hex(), res.partition) == (batched.value.hex(), batched.partition)
 
 
-def taken_routes(monkeypatch):
-    """The names of the DP routes pvar runs, appended as it runs them."""
+def taken_routes(monkeypatch, states=None):
+    """The names of the DP routes pvar runs, appended as it runs them, and
+    what each returns appended to ``states`` if given."""
     taken = []
     for name in ("_table_dp", "_batched_dp", "_scan_dp"):
         def run(*args, _name=name, _dp=getattr(variation, name)):
             taken.append(_name)
-            return _dp(*args)
+            state = _dp(*args)
+            if states is not None:
+                states.append(state)
+            return state
 
         monkeypatch.setattr(variation, name, run)
     return taken
@@ -532,14 +552,14 @@ def test_narrow_walks_take_the_batched_route(cols, monkeypatch):
     # predecessor are the scan's, which these tables no longer take
     walk = np.cumsum(np.random.default_rng(cols).standard_normal((6000, cols)), axis=0)
     path = DiscretePath(np.linspace(0.0, 1.0, 6000), [Vector.dense(r) for r in walk])
-    codes, rows = variation._distinct_rows(path.coordinate_matrix())
+    codes, rows = variation._value_table(path)  # integer codes, as pvar hands a route
     full = variation._scan_dp(codes, rows, L2, 2.0)
     taken = taken_routes(monkeypatch)
     monkeypatch.setattr(variation, "_DistanceBound", None)  # fails if built
     res = pvar(path, 2.0)
     assert taken == ["_batched_dp"]
     best, pred = variation._batched_dp(codes, rows, L2, 2.0)
-    assert (best, pred) == (full[0].tolist(), full[1].tolist())
+    assert (best.tobytes(), pred.tobytes()) == (full[0].tobytes(), full[1].tobytes())
     assert res.value == best[-1]
 
 
@@ -625,12 +645,11 @@ def alternating_paths(draw):
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # 1e8 ** 40
 def test_runs_give_the_scalar_steps_value_and_partition(case):
     path, p = case
-    with no_run_route():
-        want = pvar(path, p)
+    want, want_state = route_state(no_run_route, path, p)
     for route in (table_route, *(partial(run_route, cap) for cap in (1, 2, 3))):
-        with route():
-            res = pvar(path, p)
+        res, state = route_state(route, path, p)
         assert (res.value.hex(), res.partition) == (want.value.hex(), want.partition)
+        assert state == want_state  # a run's predecessors, too
 
 
 @pytest.mark.parametrize(
@@ -688,24 +707,30 @@ def test_long_alternation_takes_few_scalar_steps(monkeypatch):
 
 
 def table_dp_state(path, p, monkeypatch):
-    """``_table_dp``'s best, pred and runs on ``path``, and its links, read
-    from the array ``_first_reaching`` is handed at its first call."""
-    links = []
-    first_reaching = variation._first_reaching
+    """``_table_dp``'s best and pred on ``path``, its links, read from the
+    array ``_first_reaching`` is handed at its first call, and the steps
+    runs took."""
+    links, taken = [], []
+    first_reaching, take_run = variation._first_reaching, variation._take_run
 
     def kept(r, g, v, link, best):
         links.append(link)
         return first_reaching(r, g, v, link, best)
 
+    def counted(*args):
+        taken.append(take_run(*args))
+        return taken[-1]
+
     monkeypatch.setattr(variation, "_first_reaching", kept)
+    monkeypatch.setattr(variation, "_take_run", counted)
     codes, rows = variation._value_table(path)
-    best, pred, runs = variation._table_dp(codes, rows, path.space.norm, p)
-    return best, pred, runs, links[0]
+    best, pred = variation._table_dp(codes, rows, path.space.norm, p)
+    return best, pred, links[0], sum(taken)
 
 
 def test_runs_leave_the_scalar_steps_state(monkeypatch):
-    # a run writes V and links by buffer copies: the same bytes as the
-    # scalar steps, and pred left 0 where the walk back reads the run
+    # a run writes V, links and predecessors by buffer copies: the same
+    # bytes as the scalar steps
     assert array("q").itemsize == np.dtype("q").itemsize
     f = Generator.power(0.25)
     candidates = power_divergence_candidates()
@@ -715,17 +740,11 @@ def test_runs_leave_the_scalar_steps_state(monkeypatch):
     paths.append(gen_thm6_spikes(Vector.dense([0.5]), Vector.dense([0.49]), 2.0))
     paths.append(DiscretePath(np.arange(200000.0), [Vector.dense([t % 2.0]) for t in range(200000)]))
     for path in paths:
-        best, pred, runs, link = table_dp_state(path, 2.0, monkeypatch)
+        *state, taken = table_dp_state(path, 2.0, monkeypatch)
         with no_run_route():
-            want_best, want_pred, no_runs, want_link = table_dp_state(path, 2.0, monkeypatch)
-        assert len(runs) > 0 and no_runs == []
-        assert best.tobytes() == want_best.tobytes() and link.tobytes() == want_link.tobytes()
-        got, want = np.frombuffer(pred, "q"), np.frombuffer(want_pred, "q").copy()
-        for first, last in runs:
-            assert (got[first : last + 1] == 0).all()
-            assert (want[first : last + 1] == np.arange(first - 1, last)).all()
-            want[first : last + 1] = 0
-        assert np.array_equal(got, want)
+            *want, no_runs = table_dp_state(path, 2.0, monkeypatch)
+        assert taken > 0 and no_runs == 0
+        assert [a.tobytes() for a in state] == [a.tobytes() for a in want]
 
 
 def test_accumulate_adds_left_to_right():
