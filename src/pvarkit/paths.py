@@ -164,9 +164,12 @@ class DiscretePath:
         j = np.searchsorted(times, d)
         if j == times.size or times[j] != d:
             raise NotASampleTime("d=%r is not a sample time" % (d,))
-        sub = np.asarray(self.codes[i : j + 1])
-        used, codes = _renumber(sub)
-        distinct = list(map(self.distinct.__getitem__, sub[used].tolist()))
+        sub = self.codes[i : j + 1]
+        if isinstance(sub, range):  # sample i is distinct[i]
+            distinct, codes = self.distinct[i : j + 1], range(len(sub))
+        else:
+            used, codes = _renumber(sub)
+            distinct = list(map(self.distinct.__getitem__, sub[used].tolist()))
         return DiscretePath._from_codes(times[i : j + 1], (float(c), float(d)), distinct, codes)
 
     def to_json(self) -> dict:
@@ -190,8 +193,9 @@ class DiscretePath:
         _check_numbers(interval, "interval")
         _check_numbers(obj["times"], "times")
         space = VectorSpace.from_json(obj["space"])
-        values = Vector.list_from_json(space, obj["values"])
-        return cls(obj["times"], values, (float(interval[0]), float(interval[1])))
+        values = Vector.list_from_json(space, obj["values"])  # a fresh object a row
+        times, interval = _checked_times(obj["times"], len(values), interval)
+        return cls._from_codes(times, interval, values, range(len(values)), space)
 
     def __repr__(self):
         return "DiscretePath(%d samples on [%g, %g])" % (

@@ -188,7 +188,8 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     read.  The recurrence depends on j only through
     its value, so each step scans the distinct values seen so far with the
     best V of each: O(n k d) for k distinct values.  Ties go to the
-    smallest predecessor index, so the output is deterministic.
+    smallest predecessor index, so the output is deterministic: one
+    ``_step`` writes that rule, and each step's V, for every route.
 
     Three routes give the same value and partition bit for bit.  Tables of
     at most ``TABLE_MAX_VALUES`` values power each value's distances to all
@@ -249,16 +250,33 @@ def _value_table(path: DiscretePath) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(codes)) if isinstance(codes, range) else codes, rows
 
 
-def _first_reaching(r: int, g: float, v: float, link, best) -> int:
-    """Smallest index along r's links whose V + g still rounds to v.
+def _step(i: int, c: int, v: float, hits, seen: int, own, at, arg, link, best, pred) -> int:
+    """Write step i, of value ``c`` and V ``v``, and return the values seen.
 
-    V never falls along the samples of one value (a repeat adds 0); each
-    sample that raised its value's best links to the previous one.
+    Its predecessor is the smallest index whose V + g still rounds to v,
+    over the ``(value, g)`` pairs in ``hits`` reaching v: along each value's
+    links from its best, as V never falls along the samples of one value (a
+    repeat adds 0) and each sample that raised its value's best links to
+    the previous one.  A new value, or a V above its best ``own[at]``,
+    makes sample i that best.
     """
-    j = link[r]
-    while j >= 0 and best[j] + g == v:
-        r, j = j, link[j]
-    return r
+    j = i
+    for r, g in hits:
+        r = arg[r]
+        x = link[r]
+        while x >= 0 and best[x] + g == v:
+            r, x = x, link[x]
+        if r < j:
+            j = r
+    best[i], pred[i] = v, j
+    if c == seen:
+        seen += 1
+    elif v > own[at]:
+        link[i] = arg[c]
+    else:
+        return seen
+    own[at], arg[c] = v, i
+    return seen
 
 
 def _table_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
@@ -272,8 +290,8 @@ def _table_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
     """
     buf = block_buffer(*rows.shape)
     table = [(row_distances(rows, x, kind, buf) ** p).tolist() for x in rows]
-    s = len(codes)
-    top, arg = [0.0], [0]  # best V and its smallest index, per value seen
+    s, k = len(codes), len(rows)
+    top, arg = [0.0] * k, [0] * k  # best V and its smallest index, per value
     link, best, pred = _dp_state(s)
     stretches = iter(_alternations(codes))
     lo, hi = next(stretches, (s, s))  # the next window starts at step lo
@@ -281,25 +299,13 @@ def _table_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
     while True:
         for i, c in zip(range(i, lo), codes[i:lo].tolist()):
             gain = table[c]
-            cand = list(map(add, top, gain))
+            cand = list(map(add, top if seen == k else top[:seen], gain))
             v = max(cand)
             t = cand.index(v)
-            j = _first_reaching(arg[t], gain[t], v, link, best)
-            ties = cand.count(v) - 1
-            while ties:  # other values tie: the smallest index wins
-                t = cand.index(v, t + 1)
-                j = min(j, _first_reaching(arg[t], gain[t], v, link, best))
-                ties -= 1
-            best[i] = v
-            pred[i] = j
-            if c == seen:
-                top.append(v)
-                arg.append(i)
-                seen += 1
-            elif v > top[c]:
-                link[i] = arg[c]
-                top[c] = v
-                arg[c] = i
+            hits = ((t, gain[t]),)
+            if cand.count(v) > 1:  # other values tie: the smallest index wins
+                hits = [(t, gain[t]) for t, x in enumerate(cand) if x == v]
+            seen = _step(i, c, v, hits, seen, top, c, arg, link, best, pred)
         if lo == s:
             break
         i, w, taken = lo, min(window, hi - lo), 0
@@ -335,7 +341,7 @@ def _take_run(table, top, arg, link, best, pred, i: int, a: int, b: int, w: int)
     the V of two samples back.  That best was taken over every value's
     candidate at its sample's step, and the other values' bests stay put
     along the stretch; so the candidate is the only maximum, and it raises
-    its value's best.  ``_first_reaching`` from it stops at once: its
+    its value's best.  ``_step``'s link walk from it stops at once: its
     link's V + g is a candidate an earlier step took into that own best,
     so it falls below V, and its predecessor is the previous sample.  V
     comes from one accumulate over the gains, which adds left to right,
@@ -406,19 +412,14 @@ def _batched_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
             cand = [vs[q], *map(add, wtop[: bisect_left(W, seen)], g)]
             v = max(cand)
             t = cand.index(v)
-            u, gu = (vt[q], vg[q]) if t == 0 else (W[t - 1], g[t - 1])  # the first maximum
-            j = _first_reaching(arg[u], gu, v, link, best)
+            hits = ((vt[q], vg[q]) if t == 0 else (W[t - 1], g[t - 1]),)  # the first maximum
             if repeats and (cand.count(v) > 1 or t == 0 < vc[q] - 1):  # find every tie
                 hits = [(W[u - 1], g[u - 1]) for u in range(1, len(cand)) if cand[u] == v]
                 if t == 0:
                     gain = row_distances(rows, pts[q], kind, block_buffer(len(idx), cols), idx) ** p
                     tie = gain + top[idx] == v
                     hits += zip(idx[tie].tolist(), gain[tie].tolist())
-                j = min(_first_reaching(arg[u], gu, v, link, best) for u, gu in hits)
-            best[i], pred[i], w = v, j, bisect_left(W, c)
-            if c == seen or v > wtop[w]:  # a new value, or a better V for one
-                link[i] = arg[c] if c < seen else -1
-                seen, wtop[w], arg[c] = max(seen, c + 1), v, i
+            seen = _step(i, c, v, hits, seen, wtop, bisect_left(W, c), arg, link, best, pred)
         top[w_at] = wtop
         np.maximum.at(btop, w_at // size, wtop)
     return best, pred
@@ -489,21 +490,9 @@ def _scan_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
         cand = top[live] + gain
         t = int(cand.argmax())
         v = cand[t]
-        j = s
-        # Find the smallest index whose V + d^p rounds to v.  Without
-        # repeats, code order is index order and t is that index.
-        for t in (cand == v).nonzero()[0].tolist() if k < s else (t,):
-            j = min(j, _first_reaching(arg[live[t]], gain[t], v, link, best))
-        best[i] = v
-        pred[i] = j
-        if c == seen:
-            seen += 1
-        elif v > top[c]:
-            link[i] = arg[c]
-        else:
-            continue
-        top[c] = v
-        arg[c] = i
+        # without repeats, code order is index order and t reaches v first
+        hits = ((live[u], gain[u]) for u in ((cand == v).nonzero()[0] if k < s else (t,)))
+        seen = _step(i, c, v, hits, seen, top, c, arg, link, best, pred)
     return best, pred
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvarkit import spaces, variation
+from pvarkit import paths, spaces, variation
 from pvarkit.errors import NotASampleTime, PathInvariantError, TooLarge
 from pvarkit.operators import Generator, compose_path
 from pvarkit.paths import DiscretePath
@@ -95,6 +95,16 @@ def test_restrict_to_subinterval():
         p.restrict(2.0, 1.0)
 
 
+def test_range_coded_restriction_keeps_a_range_and_the_objects(monkeypatch):
+    p = scalar_path([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 2.0, -1.0])
+    assert p.codes == range(5)
+    monkeypatch.setattr(paths, "_renumber", None)  # a range is sliced, not regrouped
+    sub = p.restrict(1.0, 3.0)
+    assert sub.codes == range(3)
+    assert all(v is w for v, w in zip(sub.distinct, p.distinct[1:4], strict=True))
+    assert sub.values == p.values[1:4]
+
+
 def test_coordinate_matrix_cached_and_correct():
     p = scalar_path([0.0, 1.0], [3.0, -1.0])
     m1 = p.coordinate_matrix()
@@ -112,14 +122,16 @@ def test_coordinate_matrix_rejects_non_finite_values(bad):
         path.coordinate_matrix()
 
 
-def test_json_round_trip_preserves_everything():
+def test_json_round_trip_preserves_everything(monkeypatch):
     p = scalar_path([0.0, 0.25, 1.0], [0.5, -0.125, 2.0])
+    monkeypatch.setattr(paths, "_group", None)  # each row is a fresh object
     q = DiscretePath.from_json(p.to_json())
     assert np.array_equal(q.times, p.times)
     assert list(q.values) == list(p.values)
     assert q.interval == p.interval
     assert q.space == p.space
     assert all(v.space is q.space for v in q.values)  # the file's one space
+    assert q.codes == range(3)
 
 
 def test_from_json_revalidates():

@@ -689,13 +689,13 @@ def test_long_alternation_takes_few_scalar_steps(monkeypatch):
     # but the first step
     path = scalar_path([0.0, 1.0] * 20000)
     steps = []
-    first_reaching = variation._first_reaching
+    step = variation._step
 
     def counted(*args):
         steps.append(1)
-        return first_reaching(*args)
+        return step(*args)
 
-    monkeypatch.setattr(variation, "_first_reaching", counted)
+    monkeypatch.setattr(variation, "_step", counted)
     for p in (1.0, 2.0):
         res = pvar(path, p)
         assert res.value == 39999.0 and res.partition == list(range(40000))
@@ -706,22 +706,46 @@ def test_long_alternation_takes_few_scalar_steps(monkeypatch):
     assert len(steps) == 39999
 
 
+@pytest.mark.parametrize("dim", [1, 9])
+def test_every_route_takes_its_scalar_steps_through_step(dim, monkeypatch):
+    # new values, repeats, ties on integer coordinates and an alternating
+    # stretch: every step a run does not take goes through the one _step
+    rng = np.random.default_rng(23)
+    pool = rng.integers(-2, 3, size=(6, dim)).astype(float)
+    picks = np.r_[rng.integers(0, 6, 40), [0, 1] * 20, rng.integers(0, 6, 20)]
+    path = DiscretePath(np.arange(picks.size, dtype=float), [Vector.dense(pool[c]) for c in picks])
+    steps, taken = [], []
+    step, take_run = variation._step, variation._take_run
+    monkeypatch.setattr(variation, "_step", lambda *a: steps.append(1) or step(*a))
+    monkeypatch.setattr(variation, "_take_run", lambda *a: taken.append(take_run(*a)) or taken[-1])
+    routes = taken_routes(monkeypatch)
+    want = reference_pvar(path, 2.0)
+    for route in ROUTES + TINY_ROUTES:
+        steps.clear()
+        runs = len(taken)
+        with route():
+            res = pvar(path, 2.0)
+        assert (res.value, res.partition) == want
+        assert len(steps) == len(path) - 1 - sum(taken[runs:])
+    assert sum(taken) > 0
+    assert set(routes) == {"_table_dp", "_batched_dp" if dim < 8 else "_scan_dp"}
+
+
 def table_dp_state(path, p, monkeypatch):
     """``_table_dp``'s best and pred on ``path``, its links, read from the
-    array ``_first_reaching`` is handed at its first call, and the steps
-    runs took."""
+    array ``_step`` is handed at its first call, and the steps runs took."""
     links, taken = [], []
-    first_reaching, take_run = variation._first_reaching, variation._take_run
+    step, take_run = variation._step, variation._take_run
 
-    def kept(r, g, v, link, best):
+    def kept(i, c, v, hits, seen, own, at, arg, link, best, pred):
         links.append(link)
-        return first_reaching(r, g, v, link, best)
+        return step(i, c, v, hits, seen, own, at, arg, link, best, pred)
 
     def counted(*args):
         taken.append(take_run(*args))
         return taken[-1]
 
-    monkeypatch.setattr(variation, "_first_reaching", kept)
+    monkeypatch.setattr(variation, "_step", kept)
     monkeypatch.setattr(variation, "_take_run", counted)
     codes, rows = variation._value_table(path)
     best, pred = variation._table_dp(codes, rows, path.space.norm, p)
