@@ -13,7 +13,7 @@ The Holder scan takes the distances from a block of rows of the coordinate
 embedding to every later row in a few numpy calls, through the distance
 panels ``pvar`` uses too, then confirms its maximum with
 the scalar norms, so its result is the plain pair loop's bit for bit.  The
-bound check runs it over the path's distinct values only.
+bound check runs it over one sample of each (value, image) pair only.
 """
 
 from __future__ import annotations
@@ -290,14 +290,8 @@ def _holder_scan(
     pmat: np.ndarray,
     imat: np.ndarray,
     alpha: float,
-    both_ways: Callable[[int, int], bool] | None = None,
 ) -> HolderEstimate:
-    """``estimate_holder`` over points and images already embedded.
-
-    ``both_ways(i, j)`` says that the pair also counts as (j, i), whose
-    scalar norms may differ in the last bit for sparse vectors (their
-    difference sums in another order); the larger ratio of the two is kept.
-    """
+    """``estimate_holder`` over points and images already embedded."""
     n = len(points)
     pkind, ikind = points[0].space.norm, images[0].space.norm
     pcode = np.asarray(_distinct_rows(pmat)[0])
@@ -319,12 +313,7 @@ def _holder_scan(
         exact_array_distances(v[0].space) for v in (points, images)))
 
     def scalar(i: int, j: int) -> float:
-        r = diff_norm(images[i], images[j]) / diff_norm(points[i], points[j]) ** alpha
-        if both_ways is not None and both_ways(i, j):
-            s = diff_norm(images[j], images[i]) / diff_norm(points[j], points[i]) ** alpha
-            if s > r or r != r:
-                r = s
-        return r
+        return diff_norm(images[i], images[j]) / diff_norm(points[i], points[j]) ** alpha
 
     cap = spaces.BLOCK_BYTES // 8
     buf = np.empty(max(cap, n))
@@ -419,9 +408,9 @@ def composition_bound_check(
     the composed maximisation can use is itself one of the scanned pairs
     and the inequality holds in real arithmetic; the computed sides are
     compared up to ``_transfer_slack``, their rounding error.  L_hat and
-    its ``infinite`` flag depend only on which pairs of values the path
-    holds (and for sparse vectors in which orders), so the scan runs over
-    its distinct values, O(k^2) for k of them.
+    its ``infinite`` flag depend only on which (value, image) pairs the path
+    holds, equal under float ``==`` as ``pvar`` groups values, so the scan
+    runs over one sample of each, O(k^2) for k of them.
     A constant path has no distinct pairs; its estimate is taken as zero.
     An infinite bound (an infinite estimate, or a finite L_hat whose bound
     is beyond the floats) bounds nothing: the check holds, even over a
@@ -432,9 +421,9 @@ def composition_bound_check(
     """
     p, q = _check_pq(p, q)
     composed = compose_path(f, path)
-    points, images, pmat, imat, both_ways = _value_pairs(path, composed)
+    points, images, pmat, imat = _value_pairs(path, composed)
     try:
-        estimate = _holder_scan(points, images, pmat, imat, p / q, both_ways)
+        estimate = _holder_scan(points, images, pmat, imat, p / q)
         l_hat = estimate.constant
         infinite = estimate.infinite
     except TooFewPoints:
@@ -457,36 +446,24 @@ def composition_bound_check(
 
 
 def _value_pairs(path: DiscretePath, composed: DiscretePath):
-    """What the bound check scans: one sample of each (value, image) pair of
-    floats the path holds, by first appearance, its points, images and their
-    embeddings, and ``both_ways`` for ``_holder_scan`` on sparse spaces.
+    """What the bound check scans: one sample of each (value, image) pair the
+    path holds, by value code then image code, its points, images and embeddings.
 
-    Samples whose value and image hold the same floats, in the same entry
-    order for sparse vectors, score alike against any other.  The order of
-    a pair matters only to sparse norms: pairs i < j also occur as j before
-    i when a sample of j comes before the last of i.
+    Values and images are grouped by float ``==`` on their rows, as ``pvar``
+    groups values: norms depend on entries alone, and a coordinate is as far
+    from 0.0 as from -0.0, so samples alike under ``==`` score alike.
     """
-    pmat, imat, images = path.distinct_matrix(), composed.distinct_matrix(), composed.distinct
-    if len(images) < len(path.distinct):  # grouped images: each value's through its first sample
+    pmat, imat = path.distinct_matrix(), composed.distinct_matrix()
+    at = np.arange(len(pmat))  # each value's image
+    if len(imat) < len(pmat):  # grouped images: each value's through its first sample
         at = composed.codes[np.unique(path.codes, return_index=True)[1]]
-        imat, images = imat[at], [images[c] for c in at.tolist()]
-    groups: dict = {}
-    pairs = zip(map(_key, path.distinct), map(_key, images))
-    group = np.array([groups.setdefault(pair, len(groups)) for pair in pairs])
-    heads = np.unique(group, return_index=True)[1].tolist()
-    points, images = [path.distinct[h] for h in heads], [images[h] for h in heads]
-    pmat, imat = pmat[heads], imat[heads]
-    both_ways = None
-    if len(groups) < len(path) and "sparse" in (path.space.kind, composed.space.kind):
-        codes = group[path.codes]
-        first = np.unique(codes, return_index=True)[1]
-        last = len(codes) - 1 - np.unique(codes[::-1], return_index=True)[1]
-        both_ways = lambda i, j: bool(first[j] < last[i])
-    return points, images, pmat, imat, both_ways
-
-
-def _key(v: Vector):
-    return v.data.tobytes() if v.space.kind == "dense" else tuple(v.data.items())
+    pcode = np.asarray(_distinct_rows(pmat)[0])
+    icode = np.asarray(_distinct_rows(imat)[0])[at]
+    heads = np.unique(pcode * len(imat) + icode, return_index=True)[1]
+    at = at[heads]
+    points = [path.distinct[h] for h in heads.tolist()]
+    images = [composed.distinct[c] for c in at.tolist()]
+    return points, images, pmat[heads], imat[at]
 
 
 def _transfer_slack(n: int, p: float, q: float, pcols: int, icols: int) -> float:

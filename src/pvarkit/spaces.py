@@ -355,17 +355,19 @@ def _one_per_space(vectors: Sequence[Vector]):
 def norm(v: Vector) -> float:
     """The coordinate norm of ``v`` in its own space.
 
-    Exactly 0.0 if and only if ``v`` is the zero vector.
+    Exactly 0.0 if and only if ``v`` is the zero vector.  Sparse entries
+    are reduced in index order, so equal vectors have equal norms.
     """
     kind = v.space.norm
     if v.space.kind == "dense":
         return float(_reduce_abs(np.abs(v.data), kind))
-    vals = np.abs(np.fromiter(v.data.values(), dtype=float, count=len(v.data)))
+    vals = np.abs(np.fromiter(map(v.data.get, sorted(v.data)), dtype=float, count=len(v.data)))
     return float(_reduce_abs(vals, kind))
 
 
 def diff_norm(u: Vector, w: Vector) -> float:
-    """``norm(u - w)`` after checking both vectors share one space."""
+    """``norm(u - w)`` after checking both vectors share one space; it has
+    the bits of ``norm(w - u)``, whose entries are those of ``u - w`` negated."""
     return norm(u - w)
 
 
@@ -537,8 +539,9 @@ def exact_array_distances(space: VectorSpace) -> bool:
     """Whether every array kernel gives the distances of ``space`` the bits
     of :func:`diff_norm`: under l1 and l2 on dense spaces, whose rows reduce
     as its 1-D sum does, and under linf, as a maximum takes no order.  A
-    sparse difference sums in entry order, and lp's array root may not be
-    the scalar one."""
+    sparse difference reduces only its nonzero entries, where a row of the
+    embedding holds zeros too: from 8 columns on they may change how numpy
+    pairs terms up.  lp's array root may not be the scalar one."""
     return space.norm.tag == "linf" or space.kind == "dense" and space.norm.tag != "lp"
 
 

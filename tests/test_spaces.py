@@ -398,13 +398,41 @@ def test_exact_array_distances_are_the_scalar_ones(points):
                 assert step_distances(laid_out, at, kind).tobytes() == steps.tobytes()
 
 
+@given(
+    st.lists(
+        st.dictionaries(st.integers(1, 12), st.floats(-1e3, 1e3, allow_nan=False), max_size=12),
+        min_size=2,
+        max_size=2,
+    ),
+    st.sampled_from([L1, L2, LINF, LP(1.5)]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sparse_norms_depend_only_on_entries(entries, kind, data):
+    # entries stored in any order reduce in index order: norms keep their
+    # bits under a shuffle, and diff_norm under a swap of its arguments
+    u, w = (Vector.sparse(e, kind) for e in entries)
+    shuffled = (dict(data.draw(st.permutations(list(e.items())))) for e in entries)
+    su, sw = (Vector.sparse(e, kind) for e in shuffled)
+    assert norm(su).hex() == norm(u).hex() and norm(sw).hex() == norm(w).hex()
+    want = diff_norm(u, w).hex()
+    assert diff_norm(w, u).hex() == diff_norm(su, sw).hex() == diff_norm(sw, su).hex() == want
+    # below 8 columns numpy sums a row left to right, as the scalar norm sums
+    # the nonzero entries: the kernels give l1 and l2 distances its bits
+    mat = coordinate_matrix([u, w])
+    if kind in (L1, L2) and mat.shape[1] < 8:
+        assert float(panel_distances(mat, mat[1], kind, np.empty(2))[0]).hex() == want
+
+
 def test_exact_array_distances_leave_out_known_counterexamples():
     assert EXACT == [("dense", L1), ("dense", L2), ("dense", LINF), ("sparse", LINF)]
-    # sparse l2: the scalar norm squares a difference's entries in dict
-    # order, the array kernels in column order
-    u, zero = Vector.sparse({5: -0.3, 3: -1.3, 2: 0.9, 6: 1.1}), Vector.sparse({})
-    mat = coordinate_matrix([u, zero])
-    assert panel_distances(mat, mat[1], L2, np.empty(2))[0] != diff_norm(u, zero)
+    # sparse l2: the scalar norm sums the squares of a difference's nonzero
+    # entries, the array kernels those of a row of the embedding, whose zero
+    # in column 5 moves numpy's pairing of the terms from 8 columns on
+    u = Vector.sparse({1: -0.2, 2: 1.8, 3: 0.5, 4: -0.3, 6: 0.5, 7: 2.0, 8: 1.8, 9: -0.2, 10: 1.0})
+    zero = Vector.sparse({})
+    mat = coordinate_matrix([u, Vector.sparse({5: 1.0}), zero])
+    assert panel_distances(mat, mat[2], L2, np.empty(3))[0] != diff_norm(u, zero)
     assert not exact_array_distances(u.space)
     # lp: the array root is numpy's power loop, the scalar root C's pow;
     # where numpy runs that loop on AVX-512 the two differ in the last bit
