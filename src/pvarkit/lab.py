@@ -41,7 +41,6 @@ from .spaces import (
     VectorSpace,
     coordinate_matrix,
     diff_norm,
-    exact_array_distances,
     norm as vector_norm,
     panel_distances,
 )
@@ -370,46 +369,24 @@ def find_holder_violators(
         raise ValueError(
             "M=%.17g does not dominate max |f| over the candidates (%.17g)" % (M, peak)
         )
-    alpha = p / q
-    # every pair at nonzero distance, in scan order, with |u-w|^alpha and
-    # |f(u)-f(w)|: each index n then only compares the two against 4 M n^2;
-    # each power scalar, as array powers may differ in the last bit
-    index, gaps, image_gaps = _pair_gaps(candidates, images)
-    powers = np.array([gap ** alpha for gap in gaps])
+    # every pair at nonzero distance, in scan order, with |u-w|^(p/q) and
+    # |f(u)-f(w)| from one distance panel a side, in array arithmetic as the
+    # Holder scan scores pairs: each index n then only compares the two
+    # against 4 M n^2
+    i, j = np.triu_indices(len(candidates), 1)
+    buf = np.empty(len(candidates) ** 2)
+    pmat, imat = coordinate_matrix(candidates), coordinate_matrix(images)
+    gaps = panel_distances(pmat, pmat, candidates[0].space.norm, buf)[i, j]
+    image_gaps = panel_distances(imat, imat, images[0].space.norm, buf)[i, j]
+    keep = gaps != 0.0
+    i, j, powers, image_gaps = i[keep], j[keep], gaps[keep] ** (p / q), image_gaps[keep]
     pairs = []
     for n in range(1, count + 1):
         hits = (image_gaps > 4.0 * M * n * n * powers).nonzero()[0]
         if not hits.size:
             raise NoViolatorFound(n)
-        i, j = index[hits[0]]
-        pairs.append((candidates[i], candidates[j]))
+        pairs.append((candidates[i[hits[0]]], candidates[j[hits[0]]]))
     return pairs
-
-
-def _pair_gaps(points: list[Vector], images: list[Vector]):
-    """Pairs (i, j), i < j, of points at nonzero distance in row-major
-    order, with |u - w| as a list and |f(u) - f(w)| as an array.
-
-    Where ``exact_array_distances`` holds for points and images, one
-    distance panel of each matrix gives every pair ``diff_norm``'s bits;
-    other spaces take a scalar step per pair."""
-    if exact_array_distances(points[0].space) and exact_array_distances(images[0].space):
-        i, j = np.triu_indices(len(points), 1)
-        buf = np.empty(len(points) ** 2)
-        pmat, imat = coordinate_matrix(points), coordinate_matrix(images)
-        gaps = panel_distances(pmat, pmat, points[0].space.norm, buf)[i, j]
-        image_gaps = panel_distances(imat, imat, images[0].space.norm, buf)[i, j]
-        keep = gaps != 0.0
-        return list(zip(i[keep].tolist(), j[keep].tolist())), gaps[keep].tolist(), image_gaps[keep]
-    index, gaps, image_gaps = [], [], []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            gap = diff_norm(points[i], points[j])
-            if gap != 0.0:
-                index.append((i, j))
-                gaps.append(gap)
-                image_gaps.append(diff_norm(images[i], images[j]))
-    return index, gaps, np.array(image_gaps)
 
 
 def run_divergence_step6(

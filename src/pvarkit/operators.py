@@ -11,9 +11,9 @@ times the p-variation of the input.
 
 The Holder scan takes the distances from a block of rows of the coordinate
 embedding to every later row in a few numpy calls, through the distance
-panels ``pvar`` uses too, then confirms its maximum with
-the scalar norms, so its result is the plain pair loop's bit for bit.  The
-bound check runs it over one sample of each (value, image) pair only.
+panels ``pvar`` uses too, so every pair is scored with the bits ``pvar``
+gives its distance.  The bound check runs it over one sample of each
+(value, image) pair only.
 """
 
 from __future__ import annotations
@@ -34,18 +34,13 @@ from .errors import (
 )
 from .paths import DiscretePath, _group
 from .spaces import (
-    _BIG,
     _EPS,
     _POW_ULPS,
-    _SMALL,
     Vector,
     _check_numbers,
     _distance_error,
-    _trusted_range,
     block_buffer,
     coordinate_matrix,
-    diff_norm,
-    exact_array_distances,
     panel_distances,
     row_distances,
 )
@@ -210,8 +205,7 @@ def compose_path(f: Generator, path: DiscretePath) -> DiscretePath:
 
     ``f`` is applied once per distinct value object, in order of first
     appearance; samples holding the same object share its image, and
-    images of one object are grouped, as values are.  The identity's
-    images are their values, whose ties ``estimate_holder`` takes as final.
+    images of one object are grouped, as values are.
     """
     images, codes = [f(v) for v in path.distinct], path.codes
     if len(set(map(id, images))) < len(images):  # one object for two values
@@ -227,8 +221,8 @@ class HolderEstimate:
 
     ``infinite`` marks the degenerate situation of two points at zero
     distance whose images differ; ``constant`` is then ``math.inf`` and the
-    witness is the offending pair.  ``pair_count`` counts the pairs that
-    actually contributed a finite ratio.
+    witness is the offending pair.  ``pair_count`` counts the pairs scanned
+    at nonzero distance, NaN ratios included.
     """
 
     alpha: float
@@ -252,26 +246,20 @@ class HolderEstimate:
 def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> HolderEstimate:
     """Scan all point pairs for the worst Holder ratio at exponent alpha.
 
-    Pairs of componentwise-identical vectors are skipped; a pair at zero
-    distance with differing images short-circuits to an infinite estimate.
-    The scan runs in index order (i, j), i < j, and keeps the first pair
-    attaining the maximum, so the witness is deterministic.
+    The estimate is the plain loop over pairs (i, j), i < j, in row-major
+    order, that keeps the first pair attaining the maximum, so the witness
+    is deterministic.  Each pair's distances are the rows of the coordinate
+    embeddings of the points and of their images reduced by
+    ``spaces.row_norms``, the distances ``pvar`` takes, and its ratio is
+    ``gap / d ** alpha`` in array arithmetic.  A pair at distance 0 is
+    skipped where its images are equal under ``==``; otherwise the estimate
+    is infinite at once (equal points under a map that tells 0.0 from -0.0
+    apart, or l2 distances that underflow: ``[0.0]`` vs ``[1e-200]``).
 
-    A block of rows i is scored against every later row of the coordinate
-    embeddings of the points and of their images in a few numpy calls,
-    O(n^2 d) in all, each block's arrays within ``spaces.BLOCK_BYTES``.
-    Array norms and powers may differ from the scalar ones in the last
-    bits, so array ratios only locate the maximum: every pair within an
-    error band of it is re-scored as ``diff_norm(f(u), f(w)) /
-    diff_norm(u, w) ** alpha``, and pairs whose values leave the range the
-    band covers (underflow, overflow, NaN) take those scalar steps in
-    full.  Constant, witness and pair count are the plain loop's, bit for
-    bit.  Ratios tied within the band are each re-scored, except at alpha
-    = 1 where each image is its point, as under the identity (every ratio
-    is 1.0), or ``spaces.exact_array_distances`` holds for points and
-    images (dense l1 and l2, and linf): there the array ratio is the scalar
-    one.  Of the pairs near the maximum whose ratio is final, a block keeps
-    only its first maximum.  All points, and all images, must share one space.
+    A block of rows i is scored against every later row in a few numpy
+    calls, O(n^2 d) in all, each block's arrays within
+    ``spaces.BLOCK_BYTES``.  All points, and all images, must share one
+    space.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -294,90 +282,40 @@ def _holder_scan(
     """``estimate_holder`` over points and images already embedded."""
     n = len(points)
     pkind, ikind = points[0].space.norm, images[0].space.norm
-    pcode = np.asarray(_distinct_rows(pmat)[0])
     icode = np.asarray(_distinct_rows(imat)[0])
-    dlo, dhi = _trusted_range(pkind, pmat.shape[1])
-    nlo, nhi = _trusted_range(ikind, imat.shape[1])
-    # Array and scalar ratios are each within the error of both norms plus
-    # (_POW_ULPS + 2) eps of the exact one: one power for d ** alpha, one
-    # rounding for the division, one spare.  They differ by at most twice
-    # that, so the pair with the largest scalar ratio has an array ratio
-    # above top (1 - 3 band).
-    band = 2.0 * (
-        _distance_error(pmat.shape[1]) + _distance_error(imat.shape[1]) + (_POW_ULPS + 2) * _EPS
-    )
-    cut = 1.0 - 3.0 * band
-    # at alpha = 1 a trusted array ratio is the scalar one where array distances have
-    # diff_norm's bits, and where each image is its point: d / d ** 1.0 = x / x ** 1.0 = 1.0
-    same = alpha == 1.0 and (all(u is w for u, w in zip(points, images)) or all(
-        exact_array_distances(v[0].space) for v in (points, images)))
-
-    def scalar(i: int, j: int) -> float:
-        return diff_norm(images[i], images[j]) / diff_norm(points[i], points[j]) ** alpha
-
     cap = spaces.BLOCK_BYTES // 8
     buf = np.empty(max(cap, n))
-    top = -math.inf  # largest ratio so far, array or scalar
-    kept = []  # per block: rows i, columns j, ratios and exact? of pairs near the top
-    count = 0
+    best, witness, count = -1.0, None, 0  # best stays -1.0 when every ratio is NaN
     a = 0
     while a < n - 1:  # rows [a, b) against every later row: column c is row a + 1 + c
         m = n - 1 - a
         b = min(n - 1, a + max(1, cap // m))
-        with np.errstate(all="ignore"):  # what overflows is re-scored below
+        with np.errstate(all="ignore"):  # a norm that overflows is inf, as in the pair loop
             d = panel_distances(pmat[a + 1 :], pmat[a:b], pkind, buf)
             gap = panel_distances(imat[a + 1 :], imat[a:b], ikind, buf)
             ratio = gap / d ** alpha
         later = np.arange(a + 1, n) > np.arange(a, b)[:, None]
-        live = later & (pcode[a + 1 :] != pcode[a:b, None])  # identical points are skipped
-        fixed = icode[a + 1 :] == icode[a:b, None]  # equal images: ratio exactly 0
-        trusted = (
-            (d >= dlo) & (d <= dhi)
-            & (fixed | (gap >= nlo) & (gap <= nhi) & (ratio >= _SMALL) & (ratio <= _BIG))
-        )
-        exact = fixed | ~trusted | same
-        with np.errstate(over="ignore"):  # a norm that overflows is inf, as in the pair loop
-            for f in (live & ~trusted).ravel().nonzero()[0].tolist():  # the scalar steps, row-major
-                r, c = divmod(f, m)
-                i, j = a + r, a + 1 + c
-                dist = diff_norm(points[i], points[j])
-                if dist == 0.0:
-                    if images[i] == images[j]:
-                        live[r, c] = False
-                        continue
-                    return HolderEstimate(
-                        alpha=alpha,
-                        constant=math.inf,
-                        witness=(points[i], points[j]),
-                        pair_count=count + int(np.count_nonzero(live.ravel()[:f])),
-                        infinite=True,
-                    )
-                ratio[r, c] = scalar(i, j)
+        live = later & (d != 0.0)
+        # a pair at distance 0 is skipped where its images are equal, else infinite
+        jump = (later & ~live & (icode[a + 1 :] != icode[a:b, None])).ravel()
+        if jump.any():
+            f = int(jump.argmax())  # the first in row-major order
+            r, c = divmod(f, m)
+            return HolderEstimate(
+                alpha=alpha,
+                constant=math.inf,
+                witness=(points[a + r], points[a + 1 + c]),
+                pair_count=count + int(np.count_nonzero(live.ravel()[:f])),
+                infinite=True,
+            )
         count += int(np.count_nonzero(live))
-        top = max(top, float(ratio.max(where=live & ~np.isnan(ratio), initial=-math.inf)))
-        rs, cs = (live & (ratio >= top * cut)).nonzero()  # row-major
-        settled = exact[rs, cs]  # ratios no re-score can change
-        if np.count_nonzero(settled) > 1:  # a later one never beats their first maximum
-            at = settled.nonzero()[0]
-            settled[at[ratio[rs[at], cs[at]].argmax()]] = False  # so it alone is kept
-            rs, cs = rs[~settled], cs[~settled]
-        if rs.size:
-            kept.append((rs + a, cs + (a + 1), ratio[rs, cs], exact[rs, cs]))
+        ratio[~(live & (ratio >= 0.0))] = -math.inf  # and NaN, which never beats best
+        r, c = divmod(int(ratio.argmax()), m)  # the block's first maximum, row-major
+        if ratio[r, c] > best:
+            best, witness = float(ratio[r, c]), (points[a + r], points[a + 1 + c])
         a = b
     if count == 0:
         raise TooFewPoints("points contain fewer than 2 distinct vectors")
-    best, witness = -1.0, None  # stays so when every ratio is NaN
-    if kept:
-        rows, cols, ratios, scored = (np.concatenate(part) for part in zip(*kept))
-        near = ratios >= top * cut  # against the final top
-        rows, cols, ratios, scored = (part[near] for part in (rows, cols, ratios, scored))
-        with np.errstate(over="ignore"):
-            for k in (~scored).nonzero()[0].tolist():
-                ratios[k] = scalar(int(rows[k]), int(cols[k]))
-        ratios[np.isnan(ratios)] = -math.inf
-        if ratios.size and ratios.max() > best:
-            k = int(ratios.argmax())  # the first maximum in row-major order
-            best, witness = float(ratios[k]), (points[rows[k]], points[cols[k]])
     return HolderEstimate(alpha=alpha, constant=best, witness=witness, pair_count=count)
 
 

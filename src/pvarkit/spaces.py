@@ -39,7 +39,6 @@ __all__ = [
     "row_distances",
     "step_distances",
     "panel_distances",
-    "exact_array_distances",
     "MAX_EMBED_BYTES",
 ]
 
@@ -376,7 +375,9 @@ def coordinate_matrix(vectors: Sequence[Vector]) -> np.ndarray:
 
     Sparse vectors are embedded into the sorted union of their supports, so
     the column count is the union's size (possibly zero).  Distances taken
-    row-wise in this matrix agree with :func:`diff_norm` on the originals.
+    row-wise in this matrix are those ``pvar`` and the Holder scan use: within
+    rounding of :func:`diff_norm` on the originals, and its bits on dense l1
+    and l2 and on linf.
     """
     if not vectors:
         return np.zeros((0, 0))
@@ -533,16 +534,6 @@ def panel_distances(rows: np.ndarray, x: np.ndarray, kind: NormKind, buf) -> np.
     elif kind.tag == "lp":
         out **= 1.0 / kind.r
     return out
-
-
-def exact_array_distances(space: VectorSpace) -> bool:
-    """Whether every array kernel gives the distances of ``space`` the bits
-    of :func:`diff_norm`: under l1 and l2 on dense spaces, whose rows reduce
-    as its 1-D sum does, and under linf, as a maximum takes no order.  A
-    sparse difference reduces only its nonzero entries, where a row of the
-    embedding holds zeros too: from 8 columns on they may change how numpy
-    pairs terms up.  lp's array root may not be the scalar one."""
-    return space.norm.tag == "linf" or space.kind == "dense" and space.norm.tag != "lp"
 
 
 def _trusted_range(kind: NormKind, cols: int) -> tuple[float, float]:

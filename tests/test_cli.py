@@ -310,6 +310,25 @@ def test_bound_check_writes_infinite_values_as_json_strings(tmp_path, capsys, xs
     assert report["bound_holds"] is True and math.isfinite(report["var_p"])
 
 
+def test_bound_check_of_a_map_telling_the_zeros_apart_holds(tmp_path, capsys, monkeypatch):
+    # 0.0 and -0.0 are equal at distance zero, and their images differ: the
+    # estimate is infinite, so the bound bounds nothing and holds
+    xs = [0.0, -0.0, 1.0, -0.0, 0.0, -1.0]
+    doc = {
+        "interval": [0.0, len(xs) - 1.0],
+        "times": [float(t) for t in range(len(xs))],
+        "space": {"kind": "dense", "dim": 1, "norm": "l2"},
+        "values": [{"dense": [x]} for x in xs],
+    }
+    inp = write_json(tmp_path / "p.json", doc)
+    gen = write_json(tmp_path / "g.json", {"name": "identity"})
+    sign = Generator.custom(lambda v: Vector.dense([math.copysign(1.0, v.data[0])]))
+    monkeypatch.setattr(cli, "_load_generator", lambda path: sign)
+    assert main(["bound-check", "--input", inp, "--gen", gen, "--p", "1", "--q", "2"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "L_hat=inf " in printed and printed.rstrip().endswith("-> holds")
+
+
 @pytest.mark.parametrize(
     "xs, gen, q, message",
     [

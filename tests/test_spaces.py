@@ -19,7 +19,6 @@ from pvarkit.spaces import (
     block_buffer,
     coordinate_matrix,
     diff_norm,
-    exact_array_distances,
     norm,
     panel_distances,
     row_distances,
@@ -347,13 +346,10 @@ def test_eight_columns_keep_the_row_reduction():
 
 # both zeros, the smallest subnormal, and magnitudes whose squares overflow
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
-# (family, norm) of each space the predicate holds on
-EXACT = [
-    (family, kind)
-    for family in ("dense", "sparse")
-    for kind in NORMS
-    if exact_array_distances(VectorSpace(family, kind, 1 if family == "dense" else None))
-]
+# (family, norm) of each space whose array distances have diff_norm's bits:
+# l1 and l2 on dense rows reduce as its 1-D sum does, and a maximum takes no
+# order
+EXACT = [("dense", L1), ("dense", L2), ("dense", LINF), ("sparse", LINF)]
 
 
 @st.composite
@@ -425,7 +421,6 @@ def test_sparse_norms_depend_only_on_entries(entries, kind, data):
 
 
 def test_exact_array_distances_leave_out_known_counterexamples():
-    assert EXACT == [("dense", L1), ("dense", L2), ("dense", LINF), ("sparse", LINF)]
     # sparse l2: the scalar norm sums the squares of a difference's nonzero
     # entries, the array kernels those of a row of the embedding, whose zero
     # in column 5 moves numpy's pairing of the terms from 8 columns on
@@ -433,7 +428,7 @@ def test_exact_array_distances_leave_out_known_counterexamples():
     zero = Vector.sparse({})
     mat = coordinate_matrix([u, Vector.sparse({5: 1.0}), zero])
     assert panel_distances(mat, mat[2], L2, np.empty(3))[0] != diff_norm(u, zero)
-    assert not exact_array_distances(u.space)
+    assert ("sparse", L2) not in EXACT
     # lp: the array root is numpy's power loop, the scalar root C's pow;
     # where numpy runs that loop on AVX-512 the two differ in the last bit
     # on this pair, at AVX2 and at the baseline they agree
@@ -449,4 +444,4 @@ def test_exact_array_distances_leave_out_known_counterexamples():
     mat = coordinate_matrix([u, w])
     got, want = panel_distances(mat, mat[0], LP(1.5), np.empty(2))[1], diff_norm(w, u)
     assert got in (want, math.nextafter(want, 0.0))
-    assert not exact_array_distances(u.space)
+    assert ("dense", LP(1.5)) not in EXACT
