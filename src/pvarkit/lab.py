@@ -33,17 +33,8 @@ from .errors import (
     SpikeOverflow,
 )
 from .operators import Generator, compose_path, epsilon_covering
-from .paths import DiscretePath, _checked_times
-from .spaces import (
-    L2,
-    LINF,
-    Vector,
-    VectorSpace,
-    coordinate_matrix,
-    diff_norm,
-    norm as vector_norm,
-    panel_distances,
-)
+from .paths import DiscretePath, _check_sample_count, _checked_times
+from .spaces import L2, LINF, Vector, VectorSpace, coordinate_matrix, row_norms
 from .variation import _check_exponent, _check_pq, bv_norm, pvar
 
 __all__ = [
@@ -225,8 +216,32 @@ def _spike_train(interval, background, spike, m) -> DiscretePath:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must satisfy a < b")
+    _check_sample_count(2 * m + 2)
     block = _spike_block(a, b, background, spike, m)
     return _spike_path((a, b), [([a], [background]), block, ([b], [background])])
+
+
+def _gaps(us: Sequence[Vector], ws: Sequence[Vector] | None = None) -> np.ndarray:
+    """|u_i - w_i| for each i, or |u_i| without ``ws``: ``row_norms`` of one
+    ``coordinate_matrix`` of both lists.  These are the distances ``pvar``
+    takes; on dense l1, l2 and linf rows they have ``diff_norm``'s bits."""
+    rows = coordinate_matrix(list(us) + list(ws or ()))
+    return row_norms(rows[: len(us)] - rows[len(us) :] if ws else rows, us[0].space.norm)
+
+
+def _growth_gap(image_gaps, gaps, M: float, n, p: float, q: float) -> np.ndarray:
+    """Where |f(u) - f(w)| > 4 M n^2 |u - w|^(p/q) at index ``n`` (or at each
+    of an array), from ``_gaps``, the power taken as an array."""
+    return image_gaps > 4.0 * M * n * n * np.power(gaps, p / q)
+
+
+def _spike_count(scale: float, gap: float, p: float) -> int | None:
+    """floor(scale gap^(-p)), or None from 9e15 on, where gap^(-p) overflows too."""
+    try:
+        t = scale * gap ** (-p)
+    except OverflowError:
+        return None
+    return int(math.floor(t)) if t < 9e15 else None
 
 
 SpikeBlock = namedtuple("SpikeBlock", "n u w gap m_raw m_used capped")
@@ -242,9 +257,10 @@ def step4_blocks(
 ) -> list[SpikeBlock]:
     """Per-block spike counts m_n = floor(n^(-2q) |u_n - w_n|^(-p)).
 
-    Block n requires |u_n - w_n| <= 1/(2 n^2); together with the growth gap
-    this keeps the floor at 2 or more, and a block whose floor comes out
-    below 2 is rejected as violating the construction's preconditions.
+    Block n requires |u_n - w_n| <= 1/(2 n^2), by ``_gaps``; together with
+    the growth gap this keeps the floor at 2 or more, and a block whose
+    floor comes out below 2 is rejected as violating the construction's
+    preconditions.
     Raw counts above ``cap`` raise in strict mode and are truncated to
     ``cap`` otherwise (``capped`` marks those blocks).
     """
@@ -256,10 +272,8 @@ def step4_blocks(
     if depth > len(pairs):
         raise ValueError("depth %d exceeds the %d supplied pairs" % (depth, len(pairs)))
     _check_cap(cap)
-    blocks = []
-    for n in range(1, depth + 1):
-        u, w = pairs[n - 1]
-        gap = diff_norm(u, w)
+    blocks, gaps = [], _gaps(*zip(*pairs[:depth])).tolist()
+    for n, (u, w), gap in zip(range(1, depth + 1), pairs, gaps):
         if gap == 0.0:
             raise ValueError("pair %d is degenerate: u = w" % (n,))
         limit = 1.0 / (2.0 * n * n)
@@ -268,8 +282,7 @@ def step4_blocks(
                 "pair %d has |u-w| = %.17g above the closeness bound 1/(2 n^2) = %.17g"
                 % (n, gap, limit)
             )
-        t = float(n) ** (-2.0 * q) * gap ** (-p)
-        m_raw = int(math.floor(t)) if t < 9e15 else None
+        m_raw = _spike_count(float(n) ** (-2.0 * q), gap, p)
         if m_raw is not None and m_raw < 2:
             raise GapConditionViolated(
                 "pair %d yields spike count %d < 2; the pair is too far apart "
@@ -300,9 +313,11 @@ def gen_step4_path(
     Block n lives on [1/(n+1), 1/n) with background w_n and m_n spikes of
     u_n at equally spaced interior points; the path starts at 0 and ends
     at w_1.  Deeper blocks sit closer to time zero, so restricting to
-    [1/(n+1), 1] keeps exactly blocks 1..n.
+    [1/(n+1), 1] keeps exactly blocks 1..n.  A path above ``MAX_SAMPLES``
+    is refused from its blocks' counts, before it is built.
     """
     blocks = step4_blocks(p, q, pairs, depth, cap, strict)
+    _check_sample_count(2 + sum(2 * block.m_used + 1 for block in blocks))
     pieces = [([0.0], [blocks[0].u.space.zero()])]
     for block in reversed(blocks):
         t0 = 1.0 / (block.n + 1)
@@ -351,7 +366,8 @@ def find_holder_violators(
 ) -> list[tuple[Vector, Vector]]:
     """For each n <= count, the first candidate pair with a large image gap.
 
-    A pair qualifies at index n when |f(u) - f(w)| > 4 M n^2 |u - w|^(p/q).
+    A pair qualifies at index n when |f(u) - f(w)| > 4 M n^2 |u - w|^(p/q),
+    the one test :func:`run_divergence_step6` re-checks, in array arithmetic.
     The scan runs lexicographically over index pairs (i, j), i < j, so the
     result is deterministic.  ``M`` must dominate |f| over the candidates.
     Raises :class:`NoViolatorFound` at the first index with no qualifying
@@ -364,25 +380,20 @@ def find_holder_violators(
     count = _check_depth(count)
     M = float(M)
     images = [f(v) for v in candidates]
-    peak = max(vector_norm(img) for img in images)
+    peak = float(_gaps(images).max())
     if not M >= peak:
         raise ValueError(
             "M=%.17g does not dominate max |f| over the candidates (%.17g)" % (M, peak)
         )
-    # every pair at nonzero distance, in scan order, with |u-w|^(p/q) and
-    # |f(u)-f(w)| from one distance panel a side, in array arithmetic as the
-    # Holder scan scores pairs: each index n then only compares the two
-    # against 4 M n^2
+    # every pair at nonzero distance, in scan order
     i, j = np.triu_indices(len(candidates), 1)
-    buf = np.empty(len(candidates) ** 2)
-    pmat, imat = coordinate_matrix(candidates), coordinate_matrix(images)
-    gaps = panel_distances(pmat, pmat, candidates[0].space.norm, buf)[i, j]
-    image_gaps = panel_distances(imat, imat, images[0].space.norm, buf)[i, j]
+    gaps = _gaps([candidates[k] for k in i.tolist()], [candidates[k] for k in j.tolist()])
+    image_gaps = _gaps([images[k] for k in i.tolist()], [images[k] for k in j.tolist()])
     keep = gaps != 0.0
-    i, j, powers, image_gaps = i[keep], j[keep], gaps[keep] ** (p / q), image_gaps[keep]
+    i, j, gaps, image_gaps = i[keep], j[keep], gaps[keep], image_gaps[keep]
     pairs = []
     for n in range(1, count + 1):
-        hits = (image_gaps > 4.0 * M * n * n * powers).nonzero()[0]
+        hits = _growth_gap(image_gaps, gaps, M, n, p, q).nonzero()[0]
         if not hits.size:
             raise NoViolatorFound(n)
         pairs.append((candidates[i[hits[0]]], candidates[j[hits[0]]]))
@@ -401,11 +412,13 @@ def run_divergence_step6(
 ) -> ClaimReport:
     """Measure var_q of the composed spike path against its claimed growth.
 
-    For each depth d the spike path over ``pairs[:d]`` is composed with
-    ``f`` and its q-variation computed exactly.  Each uncapped block
-    contributes at least M^q to the claimed lower bound (that is what the
-    growth gap plus the floor formula certify); a capped block contributes
-    the directly certified m_used |f(u)-f(w)|^q instead.
+    Each pair must pass the growth gap by :func:`find_holder_violators`'
+    own test, so a pair it returns is never refused here.  For each depth d
+    the spike path over ``pairs[:d]`` is composed with ``f`` and its
+    q-variation computed exactly.  Each uncapped block contributes at least
+    M^q to the claimed lower bound (that is what the growth gap plus the
+    floor formula certify); a capped block contributes the directly
+    certified m_used |f(u)-f(w)|^q instead.
     """
     p, q = _check_pq(p, q)
     pairs = list(pairs)
@@ -415,10 +428,9 @@ def run_divergence_step6(
     if not depths:
         raise ValueError("no depths to run")
     top = depths[-1]
-    image_gaps = [diff_norm(f(u), f(w)) for u, w in pairs[:top]]
-    peak = max(
-        max(vector_norm(f(u)), vector_norm(f(w))) for u, w in pairs[:top]
-    )
+    us, ws = zip(*pairs[:top])  # fewer than top: step4_blocks says so
+    fus, fws = [f(u) for u in us], [f(w) for w in ws]
+    image_gaps, peak = _gaps(fus, fws), float(_gaps(fus + fws).max())
     if M is None:
         M = peak
     M = float(M)
@@ -426,14 +438,14 @@ def run_divergence_step6(
         raise ValueError(
             "M=%.17g does not dominate max |f| over the pair points (%.17g)" % (M, peak)
         )
-    for n in range(1, top + 1):
-        u, w = pairs[n - 1]
-        gap = diff_norm(u, w)
-        if not image_gaps[n - 1] > 4.0 * M * n * n * gap ** (p / q):
-            raise GapConditionViolated(
-                "pair %d fails the growth gap |f(u)-f(w)| > 4 M n^2 |u-w|^(p/q)" % (n,)
-            )
+    passed = _growth_gap(image_gaps, _gaps(us, ws), M, np.arange(1, len(us) + 1), p, q)
+    if not passed.all():
+        raise GapConditionViolated(
+            "pair %d fails the growth gap |f(u)-f(w)| > 4 M n^2 |u-w|^(p/q)"
+            % (passed.argmin() + 1,)
+        )
     blocks = step4_blocks(p, q, pairs, top, cap, strict)
+    image_gaps = image_gaps.tolist()
     claims = [
         M ** q if not blk.capped else blk.m_used * image_gaps[blk.n - 1] ** q
         for blk in blocks
@@ -487,26 +499,24 @@ def gen_thm6_spikes(
 ) -> DiscretePath:
     """Background w with m = floor(|u-w|^(-p)) spikes of u; p-variation <= 2.
 
-    Needs 0 < |u - w| <= 1 so the floor is at least 1.  The alternating
-    structure makes the p-variation exactly 2 m |u - w|^p, which the floor
-    keeps at or below 2; the bound is re-checked after construction.
+    Needs 0 < |u - w| <= 1 (by ``_gaps``) so the floor is at least 1.  The
+    alternating structure makes the p-variation exactly 2 m |u - w|^p, which
+    the floor keeps at or below 2; ``pvar`` re-checks it on the built train,
+    which is refused before it is built if its 2 m + 2 samples pass the cap.
     """
     p = _check_exponent(p)
-    gap = diff_norm(u, w)
+    gap = float(_gaps([u], [w])[0])
     if gap == 0.0:
         raise ValueError("u and w must differ")
     if gap > 1.0:
         raise ValueError("need |u - w| <= 1, got %.17g" % gap)
-    t = gap ** (-p)
-    m = int(math.floor(t)) if t < 9e15 else None
+    m = _spike_count(1.0, gap, p)
     if m is None or m > cap:
         raise SpikeOverflow(
             "spike count %s exceeds the cap %d"
             % ("over 9e15" if m is None else str(m), cap)
         )
     path = _spike_train(interval, w, u, m)
-    if 2.0 * m * gap ** p > 2.0 + BOUND_TOL:
-        raise PvarkitError("spike train exceeded its variation budget")
     if pvar(path, p).value > 2.0 + BOUND_TOL:
         raise PvarkitError("spike train exceeded its variation budget")
     return path
@@ -578,7 +588,7 @@ def step4_divergence_experiment(
         beta = p / (2.0 * q)
     f = generator if generator is not None else Generator.power(beta)
     candidates = power_divergence_candidates(j_lo, j_hi)
-    M = max(vector_norm(f(v)) for v in candidates)
+    M = float(_gaps([f(v) for v in candidates]).max())
     depths = sorted({_check_depth(d) for d in depths})
     pairs = find_holder_violators(f, p, q, M, candidates, depths[-1])
     report = run_divergence_step6(
@@ -633,7 +643,8 @@ def thm6_experiment(
     """Random close pairs: spike trains stay under variation 2 while their
     compositions with a rough power map exceed m |f(u)-f(w)|^q.
 
-    The map defaults to the power map with beta = p / (2 q)."""
+    The map defaults to the power map with beta = p / (2 q).  Each m is read
+    off the train built (2 m + 2 samples), each |f(u)-f(w)| from ``_gaps``."""
     p, q = _check_pq(p, q)
     if beta is None:
         beta = p / (2.0 * q)
@@ -647,8 +658,8 @@ def thm6_experiment(
         u = Vector.dense([base])
         w = Vector.dense([base + gap])
         path = gen_thm6_spikes(u, w, p)
-        m = int(math.floor(gap ** (-p)))
-        fgap = diff_norm(f(u), f(w))
+        m = (len(path) - 2) // 2
+        fgap = float(_gaps([f(u)], [f(w)])[0])
         quantities.append(pvar(compose_path(f, path), q).value)
         bounds.append(m * fgap ** q)
     return ClaimReport.build(depths, quantities, bounds, lower=True)
@@ -666,7 +677,7 @@ def remark_experiment(
     depths = sorted({_check_depth(d) for d in depths})
     f = generator if generator is not None else Generator.power(beta)
     u = Vector.dense([float(height)])
-    fgap = diff_norm(f(u), f(u.space.zero()))
+    fgap = float(_gaps([f(u)], [f(u.space.zero())])[0])
     quantities, bounds = [], []
     for n in depths:
         path = gen_remark_spikes(u, n)

@@ -205,6 +205,15 @@ class DiscretePath:
         )
 
 
+def _check_sample_count(count: int) -> None:
+    """Refuse a path of more than ``MAX_SAMPLES`` samples; builders call it
+    on their count before they make the path."""
+    if count > MAX_SAMPLES:
+        raise PathInvariantError(
+            "path has %d samples, exceeding the sample cap %d" % (count, MAX_SAMPLES)
+        )
+
+
 def _checked_times(times, count: int, interval) -> tuple[np.ndarray, tuple[float, float]]:
     """Sample times as a read-only float array, and the interval as floats,
     after checking them against each other and ``count`` samples."""
@@ -217,11 +226,7 @@ def _checked_times(times, count: int, interval) -> tuple[np.ndarray, tuple[float
         raise PathInvariantError("times must be finite")
     if not np.all(np.diff(times) > 0.0):
         raise PathInvariantError("times not strictly increasing")
-    if times.size > MAX_SAMPLES:
-        raise PathInvariantError(
-            "path has %d samples, exceeding the sample cap %d"
-            % (times.size, MAX_SAMPLES)
-        )
+    _check_sample_count(times.size)
     if interval is None:
         interval = (float(times[0]), float(times[-1]))
     a, b = float(interval[0]), float(interval[1])

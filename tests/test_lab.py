@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvarkit import paths, spaces
 from pvarkit.cli import main
@@ -225,6 +227,15 @@ def test_block_cap_modes():
         step4_blocks(1.0, 2.0, [(u, w)], cap=1)
 
 
+def test_spike_counts_past_the_float_range_are_over_the_cap():
+    # gap^(-p) overflows a float here: the count is over 9e15, not an OverflowError
+    w = Vector.dense([0.0])
+    with pytest.raises(SpikeOverflow, match="over 9e15"):
+        gen_thm6_spikes(Vector.dense([0.5]), w, 3000.0)
+    (blk,) = step4_blocks(1000.0, 1000.0, [(Vector.dense([0.125]), w)])
+    assert blk.m_raw is None and blk.m_used == SPIKE_CAP and blk.capped
+
+
 def test_spike_path_layout():
     u, w = Vector.dense([1.0 / 16.0]), Vector.dense([0.0])
     path = gen_step4_path(1.0, 2.0, [(u, w)])
@@ -371,6 +382,70 @@ def test_capped_block_lowers_its_claim():
     report = run_divergence_step6(f, 1.0, 2.0, [(u, w)], depths=(1,), cap=100)
     assert report.bounds == [pytest.approx(100 * fgap ** 2.0)]
     assert report.all_satisfied
+
+
+def test_search_and_recheck_decide_a_pair_at_the_growth_gap_alike():
+    # f(g) = 4 g^(1/2.7) in libm's pow puts (0, g) on the growth gap at n = 1,
+    # M = 1; numpy's array power of g is an ulp below libm's at AVX-512, and
+    # equal to it at AVX2, so the pair qualifies on one machine and not on the
+    # other: either way the re-check must decide as the search did
+    g = 0.006143768476567849
+    y = 4.0 * g ** (1 / 2.7)
+    f = Generator.custom(lambda v: Vector.dense([y if v.data[0] == g else 0.0]))
+    try:
+        pairs = find_holder_violators(f, 1.0, 2.7, 1.0, [Vector.dense([0.0]), Vector.dense([g])], 1)
+    except NoViolatorFound:
+        return
+    assert run_divergence_step6(f, 1.0, 2.7, pairs, M=1.0, depths=[1]).all_satisfied
+
+
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=8),
+    st.floats(1.0, 3.0),
+    st.floats(1.0, 3.0),
+    st.one_of(st.floats(0.05, 1.0), st.none()),
+    st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_recheck_accepts_every_pair_the_search_returns(xs, p, ratio, beta, count):
+    q = p * ratio
+    if beta is None:
+        # 4 |x|^(p/q) in libm's pow, below 1 = M: every (0, x) sits on the gap at n = 1
+        xs = [0.0] + [x * 4.0 ** -ratio / 2.0 for x in xs]
+        f = Generator.custom(lambda v: Vector.dense([4.0 * abs(v.data[0]) ** (p / q)]))
+    else:
+        f = Generator.power(beta)
+    candidates = [Vector.dense([x]) for x in xs]
+    M = 1.0 if beta is None else max(norm(f(v)) for v in candidates)
+    try:
+        pairs = find_holder_violators(f, p, q, M, candidates, count)
+    except NoViolatorFound:
+        return
+    depths = range(1, len(pairs) + 1)
+    assert run_divergence_step6(f, p, q, pairs, M=M, depths=depths, cap=2).all_satisfied
+
+
+@pytest.mark.parametrize(
+    "argv, samples",
+    [
+        (["step4", "--p", "1", "--q", "3", "--depths", "1,2,4,8"], 4122220),
+        (["step4", "--p", "2", "--q", "3", "--depths", "1,2,4,8"], 2000003),
+        (["remark", "--depths", "1,1000000"], 2000002),
+    ],
+)
+def test_over_cap_spike_paths_are_refused_before_they_are_built(tmp_path, capsys, argv, samples):
+    out = str(tmp_path / "lab.csv")
+    tracemalloc.start()
+    try:
+        code = main(["lab", "--experiment"] + argv + ["--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "invariant violation: path has %d samples, exceeding the sample cap 200000\n" % samples
+    )
+    assert peak < 5 * 2 ** 20  # the path alone would take tens of MB
 
 
 def test_step4_experiment_end_to_end():

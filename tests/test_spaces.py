@@ -1,6 +1,7 @@
 """Vector spaces: norm axioms, arithmetic, and the JSON wire format."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pvarkit.spaces import (
     norm,
     panel_distances,
     row_distances,
+    row_norms,
     step_distances,
 )
 
@@ -445,3 +447,32 @@ def test_exact_array_distances_leave_out_known_counterexamples():
     got, want = panel_distances(mat, mat[0], LP(1.5), np.empty(2))[1], diff_norm(w, u)
     assert got in (want, math.nextafter(want, 0.0))
     assert ("dense", LP(1.5)) not in EXACT
+
+
+
+
+@given(st.sampled_from([L1, L2, LINF]), st.integers(1, 64), st.data())
+@settings(max_examples=200, deadline=None)
+def test_distances_are_within_the_error_model(kind, cols, data):
+    # row_norms and panel_distances against exact rational arithmetic: inside
+    # _trusted_range a dense distance is within _distance_error(cols) of the
+    # exact norm of the exact differences (for l2, squares are compared)
+    scale = 2.0 ** data.draw(st.integers(-500, 490) if kind == L2 else st.integers(-980, 990))
+    coord = st.floats(-2.0, 2.0).map(lambda c: c * scale)  # subnormal to the scale's top
+    pts = data.draw(st.lists(st.lists(coord, min_size=cols, max_size=cols), min_size=2, max_size=3))
+    x, rows = np.array(pts[0]), np.array(pts[1:])
+    lo, hi = map(Fraction, spaces._trusted_range(kind, cols))
+    err = Fraction(spaces._distance_error(cols))
+    by_rows = row_norms(rows - x, kind).tolist()
+    by_panel = panel_distances(rows, x, kind, np.empty(len(rows))).tolist()
+    for row, *got in zip(pts[1:], by_rows, by_panel):
+        diffs = [abs(Fraction(a) - Fraction(b)) for a, b in zip(row, pts[0])]
+        for d in map(Fraction, got):
+            if kind == L2:
+                exact = sum(t * t for t in diffs)
+                if lo * lo <= exact <= hi * hi:
+                    assert (1 - err) ** 2 * exact <= d * d <= (1 + err) ** 2 * exact
+            else:
+                exact = sum(diffs) if kind == L1 else max(diffs)
+                if lo <= exact <= hi:
+                    assert abs(d - exact) <= err * exact
