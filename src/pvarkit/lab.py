@@ -34,7 +34,7 @@ from .errors import (
 )
 from .operators import Generator, compose_path, epsilon_covering
 from .paths import DiscretePath, _check_sample_count, _checked_times
-from .spaces import L2, LINF, Vector, VectorSpace, coordinate_matrix, row_norms
+from .spaces import L2, LINF, Vector, VectorSpace, coordinate_matrix, pair_distances, row_norms
 from .variation import _check_exponent, _check_pq, bv_norm, pvar
 
 __all__ = [
@@ -380,15 +380,17 @@ def find_holder_violators(
     count = _check_depth(count)
     M = float(M)
     images = [f(v) for v in candidates]
-    peak = float(_gaps(images).max())
+    imat, ikind = coordinate_matrix(images), images[0].space.norm
+    peak = float(row_norms(imat, ikind).max())
     if not M >= peak:
         raise ValueError(
             "M=%.17g does not dominate max |f| over the candidates (%.17g)" % (M, peak)
         )
-    # every pair at nonzero distance, in scan order
+    # every pair at nonzero distance, in scan order: each list embedded once,
+    # over the union of supports its pairs span, so these are _gaps' bits
     i, j = np.triu_indices(len(candidates), 1)
-    gaps = _gaps([candidates[k] for k in i.tolist()], [candidates[k] for k in j.tolist()])
-    image_gaps = _gaps([images[k] for k in i.tolist()], [images[k] for k in j.tolist()])
+    gaps = pair_distances(coordinate_matrix(candidates), i, j, candidates[0].space.norm)
+    image_gaps = pair_distances(imat, i, j, ikind)
     keep = gaps != 0.0
     i, j, gaps, image_gaps = i[keep], j[keep], gaps[keep], image_gaps[keep]
     pairs = []

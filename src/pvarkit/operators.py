@@ -39,10 +39,9 @@ from .spaces import (
     Vector,
     _check_numbers,
     _distance_error,
-    block_buffer,
     coordinate_matrix,
+    pair_distances,
     panel_distances,
-    row_distances,
 )
 from .variation import _check_pq, _distinct_rows, pvar
 
@@ -284,15 +283,14 @@ def _holder_scan(
     pkind, ikind = points[0].space.norm, images[0].space.norm
     icode = np.asarray(_distinct_rows(imat)[0])
     cap = spaces.BLOCK_BYTES // 8
-    buf = np.empty(max(cap, n))
     best, witness, count = -1.0, None, 0  # best stays -1.0 when every ratio is NaN
     a = 0
     while a < n - 1:  # rows [a, b) against every later row: column c is row a + 1 + c
         m = n - 1 - a
         b = min(n - 1, a + max(1, cap // m))
         with np.errstate(all="ignore"):  # a norm that overflows is inf, as in the pair loop
-            d = panel_distances(pmat[a + 1 :], pmat[a:b], pkind, buf)
-            gap = panel_distances(imat[a + 1 :], imat[a:b], ikind, buf)
+            d = panel_distances(pmat[a + 1 :], pmat[a:b], pkind)
+            gap = panel_distances(imat[a + 1 :], imat[a:b], ikind)
             ratio = gap / d ** alpha
         later = np.arange(a + 1, n) > np.arange(a, b)[:, None]
         live = later & (d != 0.0)
@@ -372,7 +370,8 @@ def composition_bound_check(
     var_q = pvar(composed, q).value
     if not math.isfinite(var_p):
         raise PathInvariantError("var_p is %r: the norms of the path overflow" % var_p)
-    slack = _transfer_slack(path.n, p, q, pmat.shape[1], imat.shape[1])
+    e_p = _distance_error(path.space.norm, pmat.shape[1])
+    slack = _transfer_slack(path.n, p, q, e_p, _distance_error(composed.space.norm, imat.shape[1]))
     try:  # each power in var_p may also underflow, by _POW_ULPS subnormal ulps
         bound = l_hat ** q * (var_p + path.n * _POW_ULPS * math.ulp(0.0)) * (1.0 + slack)
     except OverflowError:
@@ -404,12 +403,13 @@ def _value_pairs(path: DiscretePath, composed: DiscretePath):
     return points, images, pmat[heads], imat[at]
 
 
-def _transfer_slack(n: int, p: float, q: float, pcols: int, icols: int) -> float:
+def _transfer_slack(n: int, p: float, q: float, e_p: float, e_i: float) -> float:
     """Relative rounding error of var_q against L^q var_p, as computed.
 
     Inside ``spaces._trusted_range`` a computed norm is within a factor
-    1 +- e of exact (e = ``_distance_error``), a power within P = _POW_ULPS
-    ulps, and each sum of the DP takes at most n roundings.  Then:
+    1 +- e of exact (e = ``_distance_error``: e_p on the path's values, e_i
+    on their images), a power within P = _POW_ULPS ulps, and each sum of
+    the DP takes at most n roundings.  Then:
 
     - var_q is below (1 + e_i)^q (1 + P eps)(1 + eps)^n times the exact sum
       over its partition, which is at most L^q var_p exactly;
@@ -424,7 +424,7 @@ def _transfer_slack(n: int, p: float, q: float, pcols: int, icols: int) -> float
     As alpha q = p, the logarithm of the product of these factors is below
     1.01 t, and e^x - 1 <= 2x while x <= 1.25.
     """
-    t = 2.0 * q * _distance_error(icols) + 2.0 * p * _distance_error(pcols)
+    t = 2.0 * q * e_i + 2.0 * p * e_p
     t += (q * (_POW_ULPS + 1) + 3 * _POW_ULPS + 2 * n + 4 + 372.5 * p) * _EPS
     return 2.02 * t if t <= 0.5 else math.inf
 
@@ -448,10 +448,9 @@ def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int
         if not points:
             return 0
         mat, kind = coordinate_matrix(points), points[0].space.norm
-    buf = block_buffer(mat.shape[0], mat.shape[1])
     left, centers = np.arange(mat.shape[0]), 0
     while left.size:
         c, left = left[0], left[1:]
-        left = left[row_distances(mat, mat[c], kind, buf, left) > eps]
+        left = left[pair_distances(mat, left, c, kind) > eps]
         centers += 1
     return centers

@@ -11,6 +11,12 @@ Every vector carries a :class:`VectorSpace` descriptor (family, dimension
 for the dense case, and the coordinate norm).  Vectors combine only with
 vectors of an identical descriptor; anything else raises
 :class:`~pvarkit.errors.SpaceMismatch`.
+
+Distances between rows of a :func:`coordinate_matrix` come from two
+kernels with the bits of :func:`row_norms` on each difference:
+:func:`pair_distances` for rows picked by index, and
+:func:`panel_distances` for every row against a point or a stack of
+points.  Each allocates its own scratch, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -35,9 +41,7 @@ __all__ = [
     "diff_norm",
     "coordinate_matrix",
     "row_norms",
-    "block_buffer",
-    "row_distances",
-    "step_distances",
+    "pair_distances",
     "panel_distances",
     "MAX_EMBED_BYTES",
 ]
@@ -107,14 +111,17 @@ def LP(r: float) -> NormKind:
 
 
 def _reduce_abs(a: np.ndarray, kind: NormKind, axis=None) -> np.ndarray:
-    # `a` holds absolute values already; empty reductions must give 0.0.
+    # `a` holds absolute values already and is scratch: its powers are taken
+    # in place, with the bits of `a * a` and `a ** r`, so a block of rows
+    # allocates no second array.  Empty reductions must give 0.0.
     if kind.tag == "l1":
         return a.sum(axis=axis)
     if kind.tag == "l2":
-        return np.sqrt((a * a).sum(axis=axis))
+        return np.sqrt(np.multiply(a, a, out=a).sum(axis=axis))
     if kind.tag == "linf":
         return a.max(axis=axis, initial=0.0)
-    return (a ** kind.r).sum(axis=axis) ** (1.0 / kind.r)
+    a **= kind.r
+    return a.sum(axis=axis) ** (1.0 / kind.r)
 
 
 @dataclass(frozen=True)
@@ -434,81 +441,44 @@ def row_norms(a: np.ndarray, kind: NormKind) -> np.ndarray:
     return _reduce_abs(np.abs(a), kind, axis=1)
 
 
-def block_buffer(rows: int, cols: int) -> np.ndarray:
-    """Work buffer for :func:`row_distances` over up to ``rows`` rows of ``cols``.
-
-    It holds at most ``BLOCK_BYTES`` (but always one row), so wide rows are
-    differenced a block at a time and never leave the cache.
-    """
-    return np.empty((max(1, min(_block_rows(cols), rows)), cols))
-
-
 def _block_rows(cols: int) -> int:
     return max(1, BLOCK_BYTES // (8 * max(1, cols)))
 
 
-def row_distances(
-    rows: np.ndarray,
-    x: np.ndarray,
-    kind: NormKind,
-    buf: np.ndarray,
-    index: np.ndarray | None = None,
-) -> np.ndarray:
-    """Norm of ``rows[k] - x`` for every row k, or every k in ``index``.
+def pair_distances(rows: np.ndarray, i, j, kind: NormKind) -> np.ndarray:
+    """Norm of ``rows[i[t]] - rows[j[t]]`` for every t, or of ``rows[i[t]] -
+    rows[j]`` for a single index ``j``.
 
-    Rows are taken as many at a time as ``buf``, from :func:`block_buffer`,
-    holds: a block of the table through :func:`panel_distances`, or the
-    indexed rows gathered into ``buf``.  Each row's reduction is the same
-    whatever block it falls in, so results depend neither on the size of
-    ``buf`` nor on which rows are taken with it.
+    The differences are taken a block of rows within ``BLOCK_BYTES`` (always
+    one) at a time, C-ordered, made absolute and reduced as rows.  Each
+    row's reduction is the same whatever block it falls in, so a distance
+    has the bits of :func:`row_norms` of its difference, and of the
+    one-point :func:`panel_distances`, whichever indices come with it.
     """
-    n = rows.shape[0] if index is None else len(index)
-    if n <= buf.shape[0]:  # a single block, the usual case for narrow rows
-        return _block_distances(rows, x, kind, buf, index, 0, n)
-    out = np.empty(n)
-    for a in range(0, n, buf.shape[0]):
-        b = min(a + buf.shape[0], n)
-        out[a:b] = _block_distances(rows, x, kind, buf, index, a, b)
-    return out
-
-
-def _block_distances(rows, x, kind, buf, index, a, b) -> np.ndarray:
-    if index is None:
-        return panel_distances(rows[a:b], x, kind, buf)
-    # the indices are valid, so "clip" only spares a buffered copy
-    diff = np.take(rows, index[a:b], axis=0, out=buf[: b - a], mode="clip")
-    np.subtract(diff, x, out=diff)
+    step = _block_rows(rows.shape[1])
+    if len(i) > step:
+        one = isinstance(j, (int, np.integer))
+        blocks = range(0, len(i), step)
+        return np.concatenate(
+            [pair_distances(rows, i[a : a + step], j if one else j[a : a + step], kind) for a in blocks]
+        )
+    diff = rows.take(i, axis=0)  # C-ordered, and quicker than rows[i]
+    diff -= rows[j]
     return _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
 
 
-def step_distances(rows: np.ndarray, at, kind: NormKind) -> np.ndarray:
-    """Norm of ``rows[at[i]] - rows[at[i + 1]]`` for every i, a block at a time.
-
-    Each has the bits :func:`row_distances` gives it, the difference taken,
-    made absolute and reduced as a row, whichever block it falls in.
-    """
-    at = np.asarray(at)
-    n, step = max(len(at) - 1, 0), _block_rows(rows.shape[1])
-    out = np.empty(n)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        diff = rows[at[a:b]] - rows[at[a + 1 : b + 1]]
-        out[a:b] = _reduce_abs(np.abs(diff, out=diff), kind, axis=1)
-    return out
-
-
-def panel_distances(rows: np.ndarray, x: np.ndarray, kind: NormKind, buf) -> np.ndarray:
+def panel_distances(rows: np.ndarray, x: np.ndarray, kind: NormKind) -> np.ndarray:
     """Norm of ``rows[k] - x`` for every row k, with the row reduction's bits.
 
     ``x`` is a point, or a stack of them whose distances come out a row each
-    with the same bits.  numpy sums a row of fewer than 8 terms left to
+    with the same bits: ``panel_distances(rows, rows, kind)`` is the table
+    of all distances.  numpy sums a row of fewer than 8 terms left to
     right, as this loop over columns does without the reduction's per-row
-    cost; ``buf`` holds the loop's terms, as many as the result.  From 8
-    terms on it pairs them up in another order, so wider rows reduce a
-    C-ordered (points, rows, columns) difference along its last axis, in
-    chunks of rows within ``BLOCK_BYTES`` (always one).  Gathered rows, a
-    few at a time, keep the row reduction: one call per column costs more
-    there."""
+    cost, its terms in scratch of its own.  From 8 terms on it pairs them
+    up in another order, so wider rows reduce a C-ordered (points, rows,
+    columns) difference along its last axis, in chunks of rows within
+    ``BLOCK_BYTES`` (always one).  Gathered rows, a few at a time, take
+    :func:`pair_distances`: one call per column costs more there."""
     if rows.shape[1] >= 8:
         pts = x.reshape(-1, rows.shape[1])
         out = np.empty((len(pts), len(rows)))
@@ -518,7 +488,7 @@ def panel_distances(rows: np.ndarray, x: np.ndarray, kind: NormKind, buf) -> np.
             out[:, c : c + step] = _reduce_abs(np.abs(diff, out=diff), kind, axis=2)
         return out.reshape(x.shape[:-1] + rows.shape[:1])
     out = np.zeros(x.shape[:-1] + rows.shape[:1])  # the distance over no columns
-    tmp = buf.reshape(-1)[: out.size].reshape(out.shape) if x.shape[-1] > 1 else None
+    tmp = np.empty(out.shape) if x.shape[-1] > 1 else None
     for j, xj in enumerate(x.T[..., None] if x.ndim > 1 else x.tolist()):
         d = np.subtract(rows[:, j], xj, out=out if j == 0 else tmp)
         if kind.tag == "l2":
@@ -551,11 +521,14 @@ def _trusted_range(kind: NormKind, cols: int) -> tuple[float, float]:
     return _SMALL, _BIG
 
 
-def _distance_error(cols: int) -> float:
+def _distance_error(kind: NormKind, cols: int) -> float:
     """Relative error of a norm of ``cols`` coordinates in the trusted range.
 
     Array and scalar norms alike: two powers and a sum of at most ``cols``
     terms, whose ``cols - 1`` roundings leave room for the one rounding of
-    each difference of coordinates.
+    each difference of coordinates.  An lp root takes the float 1/r, within
+    (1/r) eps/2 of 1/r, which moves the root of a power sum S by a factor
+    e^(+-(eps/2) |ln S| / r); in the trusted range |ln S| < 1000 ln 2.
     """
-    return (2 * _POW_ULPS + cols) * _EPS
+    root = 347.0 / kind.r if kind.tag == "lp" else 0.0
+    return (2 * _POW_ULPS + cols + root) * _EPS

@@ -35,12 +35,10 @@ from .spaces import (
     _SMALL,
     _distance_error,
     _trusted_range,
-    block_buffer,
     norm as vector_norm,
+    pair_distances,
     panel_distances,
-    row_distances,
     row_norms,
-    step_distances,
 )
 
 __all__ = [
@@ -288,8 +286,7 @@ def _table_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
     goes to the scalar step, and so does every other step.  Either way a
     step writes its V, link and predecessor as the scalar step would.
     """
-    buf = block_buffer(*rows.shape)
-    table = [(row_distances(rows, x, kind, buf) ** p).tolist() for x in rows]
+    table = (panel_distances(rows, rows, kind) ** p).tolist()
     s, k = len(codes), len(rows)
     top, arg = [0.0] * k, [0] * k  # best V and its smallest index, per value
     link, best, pred = _dp_state(s)
@@ -385,7 +382,6 @@ def _batched_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
     table = rows.T.copy()  # a column a row: a gather takes every column at once
     src = np.arange(-size, k, size)  # the previous sample's value, then the centers
     chunk = max(1, spaces.BLOCK_BYTES // (8 * steps))  # static values to a panel
-    buf = np.empty(steps * max(min(chunk, k), len(src), steps))
     top, btop, arg = np.zeros(k), np.zeros(len(radius)), [0] * k  # V per value, block; see _scan_dp
     link, best, pred = _dp_state(s)
     seen = 1
@@ -398,13 +394,13 @@ def _batched_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
         if seen >= PRUNE_MIN_VALUES:  # below, bounds cost more than they save
             nb = (seen - 1) // size + 1  # the blocks with a seen value
             src[0] = codes[i0 - 1]
-            dist = panel_distances(table[:, src[: nb + 1]].T, pts, kind, buf)
+            dist = panel_distances(table[:, src[: nb + 1]].T, pts, kind)
             floor = (dist ** p + top[src[: nb + 1]]).max(axis=1)[:, None]
             kept = _block_bounds(dist[:, 1:], radius[:nb], btop[:nb], p, factors) >= floor
             idx = (kept.any(axis=0).nonzero()[0][:, None] * size + np.arange(size)).ravel()
             idx = idx[idx < seen]
-        vs, vt, vg, vc = _static_best(table, idx, pts, kind, p, top, buf, chunk)
-        gw = (panel_distances(table[:, w_at].T, pts, kind, buf) ** p).tolist()
+        vs, vt, vg, vc = _static_best(table, idx, pts, kind, p, top, chunk)
+        gw = (panel_distances(table[:, w_at].T, pts, kind) ** p).tolist()
         wtop = top[w_at].tolist()
         for q, c in enumerate(order):
             i, g = i0 + q, gw[q]
@@ -416,7 +412,7 @@ def _batched_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
             if repeats and (cand.count(v) > 1 or t == 0 < vc[q] - 1):  # find every tie
                 hits = [(W[u - 1], g[u - 1]) for u in range(1, len(cand)) if cand[u] == v]
                 if t == 0:
-                    gain = row_distances(rows, pts[q], kind, block_buffer(len(idx), cols), idx) ** p
+                    gain = pair_distances(rows, idx, c, kind) ** p
                     tie = gain + top[idx] == v
                     hits += zip(idx[tie].tolist(), gain[tie].tolist())
             seen = _step(i, c, v, hits, seen, wtop, bisect_left(W, c), arg, link, best, pred)
@@ -427,10 +423,9 @@ def _batched_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
 
 def _block_radii(rows, kind, size: int, factors) -> np.ndarray:
     """Each block's largest computed distance to its center, or inf if untrusted."""
-    at, step = np.arange(len(rows)), spaces.BLOCK_BYTES // (8 * rows.shape[1]) + 1
+    at = np.arange(len(rows))
     lead, starts = at - at % size, at[::size]  # each value's center, each block's
-    d = np.concatenate([row_norms(rows[a : a + step] - rows[lead[a : a + step]], kind)
-                        for a in at[::step]])
+    d = pair_distances(rows, at, lead, kind)
     ok = (d >= factors[0]) & (d <= factors[1]) | (lead == at)
     return np.where(np.logical_and.reduceat(ok, starts), np.maximum.reduceat(d, starts), np.inf)
 
@@ -447,13 +442,13 @@ def _block_bounds(dist, radius, btop, p: float, factors) -> np.ndarray:
     return ub
 
 
-def _static_best(table, idx, pts, kind, p: float, top, buf, chunk: int):
+def _static_best(table, idx, pts, kind, p: float, top, chunk: int):
     """Per step, the largest candidate over the values ``idx``, the first
     reaching it, its gain and how many reach it."""
     steps, v, t, g, c = np.arange(len(pts)), np.full(len(pts), -np.inf), None, None, None
     for a in range(0, len(idx), chunk):
         sub = idx[a : a + chunk]
-        gain = panel_distances(table[:, sub].T, pts, kind, buf) ** p
+        gain = panel_distances(table[:, sub].T, pts, kind) ** p
         cand = gain + top[sub]
         first = cand.argmax(axis=1)
         most, code, gain = cand[steps, first], sub[first], gain[steps, first]
@@ -470,9 +465,7 @@ def _scan_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
     """The DP differencing the current sample from the values seen each
     step that ``_DistanceBound`` does not certify strictly below the
     previous sample's candidate."""
-    s = len(codes)
-    k, cols = rows.shape
-    buf = block_buffer(k, cols)  # reused by every step
+    s, k = len(codes), len(rows)
     top = np.zeros(k)  # best V over the samples of each value
     arg = [0] * k  # the smallest index reaching it
     link, best, pred = _dp_state(s)
@@ -484,7 +477,7 @@ def _scan_dp(codes: np.ndarray, rows: np.ndarray, kind, p: float):
         # the previous value is scored here again: one more row in the
         # gather costs less than splicing in the distance already taken
         live = bound.survivors(i, c, codes[i - 1], top[:seen])
-        dist = row_distances(rows, rows[c], kind, buf, live)
+        dist = pair_distances(rows, live, c, kind)
         bound.reset(live, dist, c)
         gain = dist ** p
         cand = top[live] + gain
@@ -500,7 +493,7 @@ def _bound_factors(kind, cols: int) -> tuple[float, float, float, float]:
     """The trusted range, and the factors ``grow`` and ``lift`` that widen
     bounds on a computed distance and on its power (each power within
     _POW_ULPS of exact while normal; g * lift rounds once more)."""
-    grow = 1.0 + 3.0 * _distance_error(cols) + 2.0 * _EPS
+    grow = 1.0 + 3.0 * _distance_error(kind, cols) + 2.0 * _EPS
     return (*_trusted_range(kind, cols), grow, 1.0 + (2 * _POW_ULPS + 2) * _EPS)
 
 
@@ -521,14 +514,14 @@ class _DistanceBound:
     range proves nothing, and a distance outside it resets its bound to
     infinity: such values are always scored.  Every step's delta, the
     distance between the sample codes ``at`` and the next, is taken in one
-    pass up front, with the bits ``row_distances`` gives it.
+    pass up front by ``spaces.pair_distances``, as the scan takes it.
     """
 
     def __init__(self, rows: np.ndarray, kind, p: float, at):
         k, cols = rows.shape
         self.p = p
         self.lo, self.hi, self.grow, self.lift = _bound_factors(kind, cols)
-        steps = step_distances(rows, at, kind)
+        steps = pair_distances(rows, at[:-1], at[1:], kind)
         self.gain = steps ** p  # array powers: each with the bits the scan's has
         self.delta = np.where((steps >= self.lo) & (steps <= self.hi), steps, np.inf)
         self.ub = np.full(k, np.inf)
@@ -614,18 +607,26 @@ def pvar_restricted(path: DiscretePath, p: float, c: float, d: float) -> PVarRes
 def partition_sum(path: DiscretePath, indices: Sequence[int], p: float) -> float:
     """Sum of p-th powers of increment norms along the given index chain.
 
-    Taken as ``pvar`` takes it: each norm by ``row_norms`` on rows of the
-    path's ``distinct_matrix()``, the powers by array ``**``, their sum left
-    to right in Python floats; so a partition ``pvar`` reports gives back
-    its value exactly.  ``pvar_bruteforce`` is the independent check.
+    The indices must be integers, strictly increasing, from 0 to ``path.n``;
+    anything else raises ``ValueError``.  Taken as ``pvar`` takes it: each
+    norm by ``pair_distances`` on the path's ``distinct_matrix()``, the
+    powers by array ``**``, their sum left to right in Python floats; so a
+    partition ``pvar`` reports gives back its value exactly.
+    ``pvar_bruteforce`` is the independent check.
     """
     p = _check_exponent(p)
-    at = np.asarray(indices, dtype=np.intp)
+    at = np.asarray(indices)
+    if not at.size:
+        return 0.0
+    ordered = at.ndim == 1 and at.dtype.kind in "iu" and (at[1:] > at[:-1]).all()
+    if not (ordered and 0 <= at[0] and at[-1] <= path.n):
+        raise ValueError(
+            "partition indices must be strictly increasing integers in [0, %d]" % path.n
+        )
     if not isinstance(path.codes, range):
         at = path.codes[at]
-    rows = path.distinct_matrix()[at]
     total = 0.0
-    for term in (row_norms(rows[:-1] - rows[1:], path.space.norm) ** p).tolist():
+    for term in (pair_distances(path.distinct_matrix(), at[:-1], at[1:], path.space.norm) ** p).tolist():
         total += term
     return total
 

@@ -369,8 +369,7 @@ def greedy_walk(mat, kind, eps):
     center covers within eps becomes one."""
     centers = []
     for i in range(mat.shape[0]):
-        buf = spaces.block_buffer(len(centers), mat.shape[1])
-        if not centers or spaces.row_distances(mat[centers], mat[i], kind, buf).min() > eps:
+        if not centers or spaces.pair_distances(mat, centers, i, kind).min() > eps:
             centers.append(i)
     return len(centers)
 
@@ -575,7 +574,7 @@ def test_one_column_array_distances_are_the_scalar_ones(kind):
     xs += [1e300, -1e300, 1.7e308]
     pts = [Vector.dense([x], kind) for x in xs]
     mat = coordinate_matrix(pts)
-    d = spaces.panel_distances(mat[1:], mat[:-1], kind, np.empty(len(xs) ** 2))
+    d = spaces.panel_distances(mat[1:], mat[:-1], kind)
     for i in range(len(xs) - 1):
         for j in range(i + 1, len(xs)):
             assert repr(float(d[i, j - 1])) == repr(diff_norm(pts[i], pts[j]))

@@ -1,7 +1,7 @@
 """Vector spaces: norm axioms, arithmetic, and the JSON wire format."""
 
 import math
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,14 +17,12 @@ from pvarkit.spaces import (
     LP,
     Vector,
     VectorSpace,
-    block_buffer,
     coordinate_matrix,
     diff_norm,
     norm,
+    pair_distances,
     panel_distances,
-    row_distances,
     row_norms,
-    step_distances,
 )
 
 NORMS = [L1, L2, LINF, LP(1.5), LP(3.0)]
@@ -238,36 +236,37 @@ def test_sparse_embedding_takes_contiguous_supports_by_offset(first, contiguous,
 @pytest.mark.parametrize("cols", [8, 9, 17, 64, 129, 1501])
 def test_step_distances_keep_the_row_distance_bits(kind, cols, monkeypatch):
     # every step's distance in one pass: the bits, and the bits of each
-    # power, that one indexed row_distances call gives it, at magnitudes 1e+-5
+    # power, that a call for its one row gives it, at magnitudes 1e+-5
     rng = np.random.default_rng(cols)
     rows = rng.standard_normal((30, cols)) * 10.0 ** rng.integers(-5, 6, (30, cols))
     at = rng.integers(0, 30, 50)
     at[10:13] = at[9]  # repeats: distance 0
-    buf = block_buffer(30, cols)
-    one = np.array([row_distances(rows, rows[c], kind, buf, [b])[0] for b, c in zip(at, at[1:])])
+    one = np.array([pair_distances(rows, [b], c, kind)[0] for b, c in zip(at, at[1:])])
+    steps = at.tolist()
     for block in (8 * cols, 3 * 8 * cols, spaces.BLOCK_BYTES):  # 1 and 3 rows, the default
         monkeypatch.setattr(spaces, "BLOCK_BYTES", block)
-        got = step_distances(rows, at, kind)
+        got = pair_distances(rows, at[:-1], at[1:], kind)
         assert got.tobytes() == one.tobytes()
-        assert step_distances(rows, at.tolist(), kind).tobytes() == one.tobytes()
+        assert pair_distances(rows, steps[:-1], steps[1:], kind).tobytes() == one.tobytes()
         for p in (1.0, 1.5, 3.0):
-            powers = [(row_distances(rows, rows[c], kind, buf, [b]) ** p)[0] for b, c in zip(at, at[1:])]
+            powers = [(pair_distances(rows, [b], c, kind) ** p)[0] for b, c in zip(at, at[1:])]
             assert (got ** p).tobytes() == np.array(powers).tobytes()
-    assert step_distances(rows, range(30), kind).tobytes() == step_distances(rows, np.arange(30), kind).tobytes()
-    assert step_distances(rows, [3], kind).size == 0
+    by_range = pair_distances(rows, range(29), range(1, 30), kind)
+    assert by_range.tobytes() == pair_distances(rows, np.arange(29), np.arange(1, 30), kind).tobytes()
+    assert pair_distances(rows, at[:0], at[1:1], kind).size == 0
 
 
 @pytest.mark.parametrize("kind", NORMS)
-def test_row_distances_of_indexed_rows(kind, rng):
+def test_row_distances_of_indexed_rows(kind, rng, monkeypatch):
     # gathered rows get the distances of the full table, whatever the block
     table = rng.standard_normal((40, 12))
-    x = rng.standard_normal(12)
-    full = row_distances(table, x, kind, block_buffer(40, 12))
+    full = panel_distances(table, table[5], kind)
     index = np.sort(rng.choice(40, size=17, replace=False))
     for rows in (1, 3, 17, 40):
-        buf = np.empty((rows, 12))
-        assert np.array_equal(row_distances(table, x, kind, buf, index), full[index])
-        assert np.array_equal(row_distances(table, x, kind, buf), full)
+        monkeypatch.setattr(spaces, "BLOCK_BYTES", rows * 12 * 8)
+        assert np.array_equal(pair_distances(table, index, 5, kind), full[index])
+        assert np.array_equal(pair_distances(table, range(40), np.intp(5), kind), full)
+        assert np.array_equal(pair_distances(table, index, np.full(17, 5), kind), full[index])
 
 
 # both zeros, a subnormal-scale pair, squares and powers that overflow, and
@@ -282,20 +281,22 @@ def row_reduction(table, x, kind):
 @pytest.mark.parametrize("kind", NORMS)
 @pytest.mark.parametrize("cols", range(1, 8))
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_narrow_distances_keep_the_row_reduction_bits(kind, cols):
+def test_narrow_distances_keep_the_row_reduction_bits(kind, cols, monkeypatch):
     rng = np.random.default_rng(cols)
     table = rng.standard_normal((60, cols)) * 10.0 ** rng.integers(-200, 200, (60, cols))
     picked = rng.random((60, cols)) < 0.3
     table[picked] = rng.choice(POOL, picked.sum())
     index = rng.permutation(60)[:23]
-    for x in table[::7]:
-        expected = row_reduction(table, x, kind).view(np.int64)
+    for c in range(0, 60, 7):
+        expected = row_reduction(table, table[c], kind).view(np.int64)
         for laid_out in (table, np.asfortranarray(table)):
-            for rows in (1, 3, 16, 60):  # buffers of that many rows: blocks split
-                buf = np.empty((rows, cols))
-                got = row_distances(laid_out, x, kind, buf)
+            got = panel_distances(laid_out, table[c], kind)
+            assert np.array_equal(got.view(np.int64), expected)
+            for rows in (1, 3, 16, 60):  # blocks of that many rows
+                monkeypatch.setattr(spaces, "BLOCK_BYTES", rows * cols * 8)
+                got = pair_distances(laid_out, range(60), c, kind)
                 assert np.array_equal(got.view(np.int64), expected)
-                got = row_distances(laid_out, x, kind, buf, index)
+                got = pair_distances(laid_out, index, c, kind)
                 assert np.array_equal(got.view(np.int64), expected[index])
 
 
@@ -310,14 +311,13 @@ def test_panel_rows_keep_the_one_point_bits(kind, cols):
     table[picked] = rng.choice(POOL, picked.sum())
     points = table[rng.integers(0, 50, 9)]
     index = rng.permutation(50)[:17]
-    buf = np.empty(9 * 50)
     for laid_out in (table, np.asfortranarray(table)):
         for rows in (laid_out, laid_out[index], table.T.copy()[:, index].T):
-            panel = panel_distances(rows, points, kind, buf)
+            panel = panel_distances(rows, points, kind)
             for p in (1.0, 1.5, 3.0):
                 powered = panel ** p
                 for x, got, got_p in zip(points, panel, powered):
-                    one = row_distances(rows, x, kind, block_buffer(50, cols))
+                    one = panel_distances(rows, x, kind)
                     assert np.array_equal(got.view(np.int64), one.view(np.int64))
                     assert np.array_equal(got_p.view(np.int64), (one ** p).view(np.int64))
 
@@ -325,8 +325,9 @@ def test_panel_rows_keep_the_one_point_bits(kind, cols):
 def test_distances_over_no_columns_are_zero():
     # the embedding of sparse vectors that are all zero has no columns
     rows = np.zeros((3, 0))
-    assert np.array_equal(row_distances(rows, rows[0], L1, block_buffer(3, 0)), np.zeros(3))
-    assert np.array_equal(panel_distances(rows, rows[:2], L2, np.empty(0)), np.zeros((2, 3)))
+    assert np.array_equal(pair_distances(rows, range(3), 0, L1), np.zeros(3))
+    assert np.array_equal(pair_distances(rows, [0, 1], [2, 2], LINF), np.zeros(2))
+    assert np.array_equal(panel_distances(rows, rows[:2], L2), np.zeros((2, 3)))
 
 
 def test_eight_columns_keep_the_row_reduction():
@@ -342,7 +343,9 @@ def test_eight_columns_keep_the_row_reduction():
     expected = row_reduction(table, x, L1)
     assert np.any(left_to_right != expected)
     for laid_out in (table, np.asfortranarray(table)):
-        got = row_distances(laid_out, x, L1, block_buffer(200, 8))
+        got = panel_distances(laid_out, x, L1)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        got = pair_distances(laid_out, range(200), 0, L1)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -377,23 +380,23 @@ def exact_point_sets(draw):
 def test_exact_array_distances_are_the_scalar_ones(points):
     # every kernel, in every layout and block, gives diff_norm's bits
     kind, mat = points[0].space.norm, coordinate_matrix(points)
-    n, cols = mat.shape
+    n = len(mat)
     want = np.array([[diff_norm(w, u) for w in points] for u in points])  # |v_k - v_i| at [i, k]
     at = [*range(n), *range(n - 2, -1, -1)]  # steps each way
     steps = np.array([diff_norm(points[a], points[b]) for a, b in zip(at, at[1:])])
     index = np.arange(n)[::-1]
     for laid_out in (mat, np.asfortranarray(mat)):
-        assert panel_distances(laid_out, mat, kind, np.empty(n * n)).tobytes() == want.tobytes()
+        assert panel_distances(laid_out, mat, kind).tobytes() == want.tobytes()
         for block in (8, spaces.BLOCK_BYTES):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(spaces, "BLOCK_BYTES", block)
-                buf = block_buffer(n, cols)
-                for x, row in zip(mat, want):
-                    assert panel_distances(laid_out, x, kind, np.empty(n)).tobytes() == row.tobytes()
-                    assert row_distances(laid_out, x, kind, buf).tobytes() == row.tobytes()
-                    got = row_distances(laid_out, x, kind, buf, index)
+                for c, row in enumerate(want):
+                    assert panel_distances(laid_out, mat[c], kind).tobytes() == row.tobytes()
+                    assert pair_distances(laid_out, range(n), c, kind).tobytes() == row.tobytes()
+                    got = pair_distances(laid_out, index, c, kind)
                     assert got.tobytes() == row[index].tobytes()
-                assert step_distances(laid_out, at, kind).tobytes() == steps.tobytes()
+                got = pair_distances(laid_out, at[:-1], at[1:], kind)
+                assert got.tobytes() == steps.tobytes()
 
 
 @given(
@@ -419,7 +422,7 @@ def test_sparse_norms_depend_only_on_entries(entries, kind, data):
     # the nonzero entries: the kernels give l1 and l2 distances its bits
     mat = coordinate_matrix([u, w])
     if kind in (L1, L2) and mat.shape[1] < 8:
-        assert float(panel_distances(mat, mat[1], kind, np.empty(2))[0]).hex() == want
+        assert float(panel_distances(mat, mat[1], kind)[0]).hex() == want
 
 
 def test_exact_array_distances_leave_out_known_counterexamples():
@@ -429,7 +432,7 @@ def test_exact_array_distances_leave_out_known_counterexamples():
     u = Vector.sparse({1: -0.2, 2: 1.8, 3: 0.5, 4: -0.3, 6: 0.5, 7: 2.0, 8: 1.8, 9: -0.2, 10: 1.0})
     zero = Vector.sparse({})
     mat = coordinate_matrix([u, Vector.sparse({5: 1.0}), zero])
-    assert panel_distances(mat, mat[2], L2, np.empty(3))[0] != diff_norm(u, zero)
+    assert panel_distances(mat, mat[2], L2)[0] != diff_norm(u, zero)
     assert ("sparse", L2) not in EXACT
     # lp: the array root is numpy's power loop, the scalar root C's pow;
     # where numpy runs that loop on AVX-512 the two differ in the last bit
@@ -444,35 +447,80 @@ def test_exact_array_distances_leave_out_known_counterexamples():
         )
     )
     mat = coordinate_matrix([u, w])
-    got, want = panel_distances(mat, mat[0], LP(1.5), np.empty(2))[1], diff_norm(w, u)
+    got, want = panel_distances(mat, mat[0], LP(1.5))[1], diff_norm(w, u)
     assert got in (want, math.nextafter(want, 0.0))
     assert ("dense", LP(1.5)) not in EXACT
 
 
+@st.composite
+def embedded_points(draw, kinds, width, coord=st.floats(-1e3, 1e3, allow_nan=False)):
+    """2-4 points of ``width`` coordinates, dense or sparse, and their
+    embedding: a sparse point leaves out its zeros, so its row of the
+    embedding has zero columns between its entries."""
+    kind, sparse = draw(st.sampled_from(kinds)), draw(st.booleans())
+    if sparse:
+        coord = st.one_of(st.just(0.0), coord)
+    rows = draw(st.lists(st.lists(coord, min_size=width, max_size=width), min_size=2, max_size=4))
+    if sparse:
+        points = [Vector.sparse({j + 1: c for j, c in enumerate(row)}, kind) for row in rows]
+    else:
+        points = [Vector.dense(row, kind) for row in rows]
+    return kind, coordinate_matrix(points)
 
 
-@given(st.sampled_from([L1, L2, LINF]), st.integers(1, 64), st.data())
+@given(st.integers(1, 40), st.data())
 @settings(max_examples=200, deadline=None)
-def test_distances_are_within_the_error_model(kind, cols, data):
-    # row_norms and panel_distances against exact rational arithmetic: inside
-    # _trusted_range a dense distance is within _distance_error(cols) of the
-    # exact norm of the exact differences (for l2, squares are compared)
-    scale = 2.0 ** data.draw(st.integers(-500, 490) if kind == L2 else st.integers(-980, 990))
-    coord = st.floats(-2.0, 2.0).map(lambda c: c * scale)  # subnormal to the scale's top
-    pts = data.draw(st.lists(st.lists(coord, min_size=cols, max_size=cols), min_size=2, max_size=3))
-    x, rows = np.array(pts[0]), np.array(pts[1:])
-    lo, hi = map(Fraction, spaces._trusted_range(kind, cols))
-    err = Fraction(spaces._distance_error(cols))
-    by_rows = row_norms(rows - x, kind).tolist()
-    by_panel = panel_distances(rows, x, kind, np.empty(len(rows))).tolist()
-    for row, *got in zip(pts[1:], by_rows, by_panel):
-        diffs = [abs(Fraction(a) - Fraction(b)) for a, b in zip(row, pts[0])]
-        for d in map(Fraction, got):
-            if kind == L2:
-                exact = sum(t * t for t in diffs)
-                if lo * lo <= exact <= hi * hi:
-                    assert (1 - err) ** 2 * exact <= d * d <= (1 + err) ** 2 * exact
+def test_pair_distances_are_the_row_norms_of_the_differences(width, data):
+    # any pairs of rows, or rows against one: each distance has the bits of
+    # row_norms of its difference, in either layout and any block
+    kind, mat = data.draw(embedded_points([L1, L2, LINF, LP(1.5)], width))
+    index = st.lists(st.integers(0, len(mat) - 1), max_size=30)
+    i, j = (np.array(data.draw(index), dtype=np.intp) for _ in range(2))
+    j = np.resize(j, len(i))
+    c = data.draw(st.integers(0, len(mat) - 1))
+    pairs, one = row_norms(mat[i] - mat[j], kind), row_norms(mat[i] - mat[c], kind)
+    for laid_out in (mat, np.asfortranarray(mat)):
+        for block in (8, 800, spaces.BLOCK_BYTES):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spaces, "BLOCK_BYTES", block)
+                assert pair_distances(laid_out, i, j, kind).tobytes() == pairs.tobytes()
+                assert pair_distances(laid_out, i, c, kind).tobytes() == one.tobytes()
+
+
+@st.composite
+def scaled_points(draw, cols):
+    """Points of ``cols`` coordinates from subnormal to the top of a scale
+    2^e; for l2 and lp r, r e stays in [-1000, 980], so no power overflows."""
+    kind = draw(st.sampled_from([L1, L2, LINF, LP(1.5), LP(3.0)]))
+    r = {"l2": 2.0, "lp": kind.r}.get(kind.tag)
+    scale = 2.0 ** draw(st.integers(-980, 990) if r is None else st.integers(int(-1000 / r), int(980 / r)))
+    coord = st.floats(-2.0, 2.0).map(lambda c: c * scale)
+    return draw(embedded_points([kind], cols, coord))
+
+
+@given(st.integers(1, 64), st.data())
+@settings(max_examples=300, deadline=None)
+def test_distances_are_within_the_error_model(cols, data):
+    # row_norms, pair_distances and panel_distances against the exact norm
+    # of the exact differences, in 60-digit decimals (lp's power taken at
+    # Decimal(r), the float r exactly): inside _trusted_range each distance
+    # is within _distance_error of it, in the embedding's column count
+    kind, mat = data.draw(scaled_points(cols))
+    width = mat.shape[1]
+    lo, hi = map(Decimal, spaces._trusted_range(kind, width))
+    err = Decimal(spaces._distance_error(kind, width))
+    by_rows = row_norms(mat[1:] - mat[0], kind).tolist()
+    by_pairs = pair_distances(mat, range(1, len(mat)), 0, kind).tolist()
+    by_panel = panel_distances(mat[1:], mat[0], kind).tolist()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = Decimal({"l2": 2.0, "lp": kind.r}.get(kind.tag, 1.0))
+        for row, *got in zip(mat[1:].tolist(), by_rows, by_pairs, by_panel):
+            diffs = [abs(Decimal(a) - Decimal(b)) for a, b in zip(row, mat[0].tolist())]
+            if kind == LINF:
+                exact = max(diffs, default=Decimal(0))
             else:
-                exact = sum(diffs) if kind == L1 else max(diffs)
-                if lo <= exact <= hi:
+                exact = sum(t ** r for t in diffs) ** (1 / r)
+            if lo <= exact <= hi:
+                for d in map(Decimal, got):
                     assert abs(d - exact) <= err * exact

@@ -59,6 +59,20 @@ def test_step_path_square_variation_exact():
     assert pvar(p, 1.0).value == 2.0
 
 
+@pytest.mark.parametrize(
+    "chain", [[0, -1], [0, 1.7, 3], [0, 2, 1, 3], [0, 0, 3], [0, 4], [[0, 3]], [False, True]]
+)
+def test_partition_sum_refuses_malformed_chains(chain):
+    # a negative index once wrapped, a float was truncated, and an unordered
+    # chain was summed as given: 0.25, 1.25 and 13.25 on this path at p = 2
+    path = scalar_path([0.0, 1.0, 3.0, 0.5])
+    with pytest.raises(ValueError, match="strictly increasing integers in \\[0, 3\\]"):
+        partition_sum(path, chain, 2.0)
+    assert partition_sum(path, [0, 1, 2, 3], 2.0) == 11.25
+    assert partition_sum(path, np.array([0, 2, 3], dtype=np.uint8), 2.0) == 9.0 + 6.25
+    assert partition_sum(path, [], 2.0) == partition_sum(path, [3], 2.0) == 0.0
+
+
 def test_two_point_path():
     p = scalar_path([1.0, -2.0])
     for e in (1.0, 2.0, 3.5):
@@ -437,15 +451,23 @@ def test_pruned_route_on_wide_rows_matches_reference(kind):
 
 
 def counted_rows(monkeypatch):
-    """The rows each call of pvar's distance kernel differences, appended."""
+    """The rows pvar's distance kernels difference from each one point,
+    appended: a panel's from each of its points, a pair call's with a
+    single j.  The scan's steps, all taken up front, are not counted."""
     rows = []
-    distances = variation.row_distances
+    pairs, panel = variation.pair_distances, variation.panel_distances
 
-    def counted(table, x, kind, buf, index=None):
-        rows.append(table.shape[0] if index is None else len(index))
-        return distances(table, x, kind, buf, index)
+    def counted_pairs(table, i, j, kind):
+        if np.ndim(j) == 0:
+            rows.append(len(i))
+        return pairs(table, i, j, kind)
 
-    monkeypatch.setattr(variation, "row_distances", counted)
+    def counted_panel(table, x, kind):
+        rows.extend([len(table)] * (len(x) if x.ndim > 1 else 1))
+        return panel(table, x, kind)
+
+    monkeypatch.setattr(variation, "pair_distances", counted_pairs)
+    monkeypatch.setattr(variation, "panel_distances", counted_panel)
     return rows
 
 
@@ -533,7 +555,7 @@ def test_distance_bounds_stay_above_computed_distances(kind, monkeypatch):
 
     def checked(self, i, c, b, top):
         live = survivors(self, i, c, b, top)
-        computed = spaces.row_distances(table[: len(top)], table[c], kind, spaces.block_buffer(80, 300))
+        computed = spaces.pair_distances(table, range(len(top)), c, kind)
         assert np.all(computed <= self.ub[: len(top)])
         scored.append(len(live))
         return live
@@ -587,12 +609,11 @@ def test_block_bounds_stay_above_computed_candidates(kind):
     rows = np.cumsum(rng.uniform(0.1, 1.0, 400))[:, None] * direction
     factors = variation._bound_factors(kind, 7)
     radius = variation._block_radii(rows, kind, 20, factors)
-    buf = np.empty(400 * 400)
-    dist = spaces.panel_distances(rows[::20], rows, kind, buf)  # points by centers
+    dist = spaces.panel_distances(rows[::20], rows, kind)  # points by centers
     top = np.zeros(400)
     for p in (1.0, 1.5, 2.0, 3.0, 8.0):  # a high power magnifies a distance's error
         bound = variation._block_bounds(dist.copy(), radius, top[::20], p, factors)
-        cand = spaces.panel_distances(rows, rows, kind, buf) ** p + top
+        cand = spaces.panel_distances(rows, rows, kind) ** p + top
         assert np.all(cand.reshape(400, 20, 20).max(axis=2) <= bound)
 
 
