@@ -32,7 +32,7 @@ from .errors import (
     PvarkitError,
     SpikeOverflow,
 )
-from .operators import Generator, compose_path, epsilon_covering
+from .operators import Generator, _check_eps, compose_path, epsilon_covering
 from .paths import DiscretePath, _check_sample_count, _checked_times
 from .spaces import L2, LINF, Vector, VectorSpace, coordinate_matrix, pair_distances, row_norms
 from .variation import _check_exponent, _check_pq, bv_norm, pvar
@@ -615,7 +615,7 @@ def example3_experiment(
     bound_terms: int = 10 ** 6,
 ) -> Example3Experiment:
     """1-variation against its closed-form bound, plus epsilon-net sizes."""
-    depths = sorted({_check_depth(d) for d in depths})
+    depths, eps = sorted({_check_depth(d) for d in depths}), _check_eps(eps)
     # 1 / (i + 1)^2 for i = 1, 2, ..., in place in one array: i + 1 is exact
     # below 2^53; a memoryview hands fsum Python floats, twice as fast as
     # numpy scalars

@@ -37,8 +37,10 @@ from .spaces import (
     _EPS,
     _POW_ULPS,
     Vector,
+    _block_rows,
     _check_numbers,
     _distance_error,
+    _trusted_range,
     coordinate_matrix,
     pair_distances,
     panel_distances,
@@ -429,18 +431,29 @@ def _transfer_slack(n: int, p: float, q: float, e_p: float, e_i: float) -> float
     return 2.02 * t if t <= 0.5 else math.inf
 
 
+def _check_eps(eps) -> float:
+    eps = float(eps)
+    if not eps > 0.0:
+        raise ValueError("eps must be positive, got %r" % (eps,))
+    return eps
+
+
 def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int:
     """Greedy covering-number diagnostic: within factor 2 of optimal.
 
     The first point no center covers within ``eps`` becomes the next
-    center, and one distance call drops the later points it covers: the
-    centers a walk over the points in order would pick, bit for bit.
-    Returns the number of centers.  A :class:`DiscretePath` stands for its
-    values and lends its cached coordinate embedding.
+    center, and drops the later points it covers: the centers a walk over
+    the points in order would pick, bit for bit.  Returns the number of
+    centers.  A :class:`DiscretePath` stands for its values and lends its
+    cached coordinate embedding.
+
+    Wide rows are screened a block of columns at a time: a point leaves a
+    center's pass at the first coordinate gap above ``bar``, which proves
+    its distance above ``eps``, so its later columns are never read.  On
+    linf the points left are the covered ones; on other norms they take
+    the ``pair_distances(...) <= eps`` call narrow rows take.
     """
-    eps = float(eps)
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    eps = _check_eps(eps)
     if isinstance(points, DiscretePath):  # a repeated value is never a new center
         mat, kind = points.distinct_matrix(), points.space.norm
     else:
@@ -448,9 +461,25 @@ def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int
         if not points:
             return 0
         mat, kind = coordinate_matrix(points), points[0].space.norm
+    # a gap above bar proves the distance above eps: on l1 a rounded sum is at
+    # least each nonnegative term; on l2 and lp only past the rounding error,
+    # and only in the trusted range, below which a square can underflow
+    cols, bar = mat.shape[1], eps
+    if kind.tag in ("l2", "lp"):
+        lo, hi = _trusted_range(kind, cols)
+        bar = eps * (1.0 + 2.0 * _distance_error(kind, cols)) if lo <= eps <= hi else None
     left, centers = np.arange(mat.shape[0]), 0
     while left.size:
         c, left = left[0], left[1:]
-        left = left[pair_distances(mat, left, c, kind) > eps]
+        near, a = np.arange(left.size), 0  # positions in left of the points c may cover
+        wide = bar is not None and cols > _block_rows(left.size)
+        while wide and near.size and a < cols:
+            gap = mat[left[near], a : a + _block_rows(near.size)]
+            gap -= mat[c, a : a + gap.shape[1]]
+            near = np.delete(near, np.flatnonzero(np.abs(gap, out=gap) > bar) // gap.shape[1])
+            a += gap.shape[1]
+        if not (wide and kind.tag == "linf"):
+            near = near[pair_distances(mat, left[near], c, kind) <= eps]
+        left = np.delete(left, near)
         centers += 1
     return centers

@@ -650,6 +650,19 @@ def test_lab_example3_covering_note(tmp_path, capsys):
     assert "epsilon-net" in out
 
 
+@pytest.mark.parametrize("eps", ["nan", "-1", "0"])
+def test_lab_example3_refuses_a_bad_eps_before_any_work(eps, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pvar called")
+
+    monkeypatch.setattr(lab, "pvar", refuse)
+    out = tmp_path / "e3.csv"
+    argv = ["lab", "--experiment", "example3", "--eps", eps, "--out", str(out)]
+    assert main(argv) == EXIT_INVARIANT
+    assert "eps must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_depth_schedule_validation(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(
