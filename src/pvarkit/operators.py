@@ -40,7 +40,6 @@ from .spaces import (
     _block_rows,
     _check_numbers,
     _distance_error,
-    _trusted_range,
     coordinate_matrix,
     pair_distances,
     panel_distances,
@@ -447,11 +446,10 @@ def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int
     centers.  A :class:`DiscretePath` stands for its values and lends its
     cached coordinate embedding.
 
-    Wide rows are screened a block of columns at a time: a point leaves a
-    center's pass at the first coordinate gap above ``bar``, which proves
-    its distance above ``eps``, so its later columns are never read.  On
-    linf the points left are the covered ones; on other norms they take
-    the ``pair_distances(...) <= eps`` call narrow rows take.
+    On linf the points are screened a block of columns at a time: a point
+    leaves a center's pass at its first coordinate gap above ``eps``, so
+    its later columns are never read, and the points that pass every block
+    are the covered ones.  Other norms take one ``pair_distances`` call.
     """
     eps = _check_eps(eps)
     if isinstance(points, DiscretePath):  # a repeated value is never a new center
@@ -461,25 +459,18 @@ def epsilon_covering(points: Sequence[Vector] | DiscretePath, eps: float) -> int
         if not points:
             return 0
         mat, kind = coordinate_matrix(points), points[0].space.norm
-    # a gap above bar proves the distance above eps: on l1 a rounded sum is at
-    # least each nonnegative term; on l2 and lp only past the rounding error,
-    # and only in the trusted range, below which a square can underflow
-    cols, bar = mat.shape[1], eps
-    if kind.tag in ("l2", "lp"):
-        lo, hi = _trusted_range(kind, cols)
-        bar = eps * (1.0 + 2.0 * _distance_error(kind, cols)) if lo <= eps <= hi else None
     left, centers = np.arange(mat.shape[0]), 0
     while left.size:
         c, left = left[0], left[1:]
-        near, a = np.arange(left.size), 0  # positions in left of the points c may cover
-        wide = bar is not None and cols > _block_rows(left.size)
-        while wide and near.size and a < cols:
-            gap = mat[left[near], a : a + _block_rows(near.size)]
-            gap -= mat[c, a : a + gap.shape[1]]
-            near = np.delete(near, np.flatnonzero(np.abs(gap, out=gap) > bar) // gap.shape[1])
-            a += gap.shape[1]
-        if not (wide and kind.tag == "linf"):
-            near = near[pair_distances(mat, left[near], c, kind) <= eps]
-        left = np.delete(left, near)
+        if kind.tag != "linf":
+            left = left[pair_distances(mat, left, c, kind) > eps]
+        else:  # the largest gap is the distance: a gap above eps drops a point
+            near, a = np.arange(left.size), 0  # positions in left of the points c covers
+            while near.size and a < mat.shape[1]:
+                gap = mat[left[near], a : a + _block_rows(near.size)]
+                gap -= mat[c, a : a + gap.shape[1]]
+                near = np.delete(near, np.flatnonzero(np.abs(gap, out=gap) > eps) // gap.shape[1])
+                a += gap.shape[1]
+            left = np.delete(left, near)
         centers += 1
     return centers
