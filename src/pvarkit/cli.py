@@ -135,6 +135,10 @@ def cmd_holder(args) -> int:
     f = _load_generator(args.gen)
     points = _load_points(args.points)
     estimate = estimate_holder(f, points, args.alpha)
+    if not (estimate.infinite or math.isfinite(estimate.constant)):  # JSON has no infinity
+        raise PathInvariantError(
+            "the Holder constant is %r: the ratios overflow" % estimate.constant
+        )
     if args.out:
         _dump_json(estimate.to_json(), args.out)
     shown = "inf" if estimate.infinite else "%.17g" % estimate.constant

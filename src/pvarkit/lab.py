@@ -29,6 +29,7 @@ from .errors import (
     BlockTooLarge,
     GapConditionViolated,
     NoViolatorFound,
+    PathInvariantError,
     PvarkitError,
     SpikeOverflow,
 )
@@ -88,7 +89,9 @@ class ClaimReport:
 
     ``lower`` says which side the claims bound: a quantity satisfies a
     lower bound when it is at least the bound, an upper bound when it is
-    at most the bound, both up to ``BOUND_TOL``.
+    at most the bound, both up to ``BOUND_TOL``.  Every quantity and bound
+    must be finite, or ``build`` raises :class:`PathInvariantError`: a
+    claim on a number that overflowed says nothing.
     """
 
     depths: list[int]
@@ -106,6 +109,11 @@ class ClaimReport:
             bool(lower),
             False,
         )
+        for d, x, b in zip(report.depths, report.quantities, report.bounds):
+            if not (math.isfinite(x) and math.isfinite(b)):
+                raise PathInvariantError(
+                    "depth %d: quantity %r and claimed bound %r must be finite" % (d, x, b)
+                )
         report.all_satisfied = all(row[3] for row in report.rows())
         return report
 
@@ -226,7 +234,8 @@ def _gaps(us: Sequence[Vector], ws: Sequence[Vector] | None = None) -> np.ndarra
     ``coordinate_matrix`` of both lists.  These are the distances ``pvar``
     takes; on dense l1, l2 and linf rows they have ``diff_norm``'s bits."""
     rows = coordinate_matrix(list(us) + list(ws or ()))
-    return row_norms(rows[: len(us)] - rows[len(us) :] if ws else rows, us[0].space.norm)
+    with np.errstate(over="ignore"):  # a norm that overflows is inf
+        return row_norms(rows[: len(us)] - rows[len(us) :] if ws else rows, us[0].space.norm)
 
 
 def _growth_gap(image_gaps, gaps, M: float, n, p: float, q: float) -> np.ndarray:
@@ -663,7 +672,10 @@ def thm6_experiment(
         m = (len(path) - 2) // 2
         fgap = float(_gaps([f(u)], [f(w)])[0])
         quantities.append(pvar(compose_path(f, path), q).value)
-        bounds.append(m * fgap ** q)
+        try:
+            bounds.append(m * fgap ** q)
+        except OverflowError:  # ClaimReport.build refuses it
+            bounds.append(math.inf)
     return ClaimReport.build(depths, quantities, bounds, lower=True)
 
 

@@ -32,7 +32,7 @@ from .errors import (
     PathInvariantError,
     TooFewPoints,
 )
-from .paths import DiscretePath, _group
+from .paths import DiscretePath, _distinct_rows, _group
 from .spaces import (
     _EPS,
     _POW_ULPS,
@@ -44,7 +44,7 @@ from .spaces import (
     pair_distances,
     panel_distances,
 )
-from .variation import _check_pq, _distinct_rows, pvar
+from .variation import _check_pq, pvar
 
 __all__ = [
     "Generator",
@@ -255,6 +255,8 @@ def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> Hol
     skipped where its images are equal under ``==``; otherwise the estimate
     is infinite at once (equal points under a map that tells 0.0 from -0.0
     apart, or l2 distances that underflow: ``[0.0]`` vs ``[1e-200]``).
+    Norms that overflow so that every ratio is NaN leave no estimate and
+    raise :class:`PathInvariantError`.
 
     A block of rows i is scored against every later row in a few numpy
     calls, O(n^2 d) in all, each block's arrays within
@@ -269,7 +271,9 @@ def estimate_holder(f: Generator, points: Sequence[Vector], alpha: float) -> Hol
     if n < 2:
         raise TooFewPoints("need at least 2 points, got %d" % n)
     images = [f(v) for v in points]
-    return _holder_scan(points, images, coordinate_matrix(points), coordinate_matrix(images), alpha)
+    imat = coordinate_matrix(images)
+    icode = np.asarray(_distinct_rows(imat)[0])
+    return _holder_scan(points, images, coordinate_matrix(points), imat, icode, alpha)
 
 
 def _holder_scan(
@@ -277,12 +281,12 @@ def _holder_scan(
     images: list[Vector],
     pmat: np.ndarray,
     imat: np.ndarray,
+    icode: np.ndarray,
     alpha: float,
 ) -> HolderEstimate:
-    """``estimate_holder`` over points and images already embedded."""
+    """``estimate_holder`` over embedded points and images, and image codes equal as under ==."""
     n = len(points)
     pkind, ikind = points[0].space.norm, images[0].space.norm
-    icode = np.asarray(_distinct_rows(imat)[0])
     cap = spaces.BLOCK_BYTES // 8
     best, witness, count = -1.0, None, 0  # best stays -1.0 when every ratio is NaN
     a = 0
@@ -315,6 +319,8 @@ def _holder_scan(
         a = b
     if count == 0:
         raise TooFewPoints("points contain fewer than 2 distinct vectors")
+    if best < 0.0:
+        raise PathInvariantError("L_hat is undefined: every Holder ratio is NaN, as norms overflow")
     return HolderEstimate(alpha=alpha, constant=best, witness=witness, pair_count=count)
 
 
@@ -352,56 +358,50 @@ def composition_bound_check(
     An infinite bound (an infinite estimate, or a finite L_hat whose bound
     is beyond the floats) bounds nothing: the check holds, even over a
     var_q that overflows.  Norms that overflow leave nothing to compare
-    and raise :class:`PathInvariantError`: an L_hat left at -1.0 because
-    every ratio is NaN, a var_p that is not finite, or any other var_q
+    and raise :class:`PathInvariantError`: every Holder ratio NaN (the
+    scan refuses it, as for ``estimate_holder``), a var_p that is not finite, or any other var_q
     that is not (an L_hat that overflowed with it carries no information).
     """
     p, q = _check_pq(p, q)
     composed = compose_path(f, path)
-    points, images, pmat, imat = _value_pairs(path, composed)
+    points, images, pmat, imat, icode = _value_pairs(path, composed)
     try:
-        estimate = _holder_scan(points, images, pmat, imat, p / q)
+        estimate = _holder_scan(points, images, pmat, imat, icode, p / q)
         l_hat = estimate.constant
         infinite = estimate.infinite
     except TooFewPoints:
         l_hat, infinite = 0.0, False
-    if not (infinite or l_hat >= 0.0):
-        raise PathInvariantError("L_hat is undefined: every Holder ratio is NaN, as norms overflow")
     var_p = pvar(path, p).value
     var_q = pvar(composed, q).value
     if not math.isfinite(var_p):
         raise PathInvariantError("var_p is %r: the norms of the path overflow" % var_p)
     e_p = _distance_error(path.space.norm, pmat.shape[1])
     slack = _transfer_slack(path.n, p, q, e_p, _distance_error(composed.space.norm, imat.shape[1]))
-    try:  # each power in var_p may also underflow, by _POW_ULPS subnormal ulps
-        bound = l_hat ** q * (var_p + path.n * _POW_ULPS * math.ulp(0.0)) * (1.0 + slack)
+    tiny = path.n * _POW_ULPS * math.ulp(0.0)
+    try:  # each power of var_p, var_q and L_hat^q may underflow, by _POW_ULPS subnormal ulps
+        bound = (l_hat ** q + _POW_ULPS * math.ulp(0.0)) * (var_p + tiny) * (1.0 + slack)
     except OverflowError:
         bound = math.inf
     if not (math.isfinite(var_q) or infinite or l_hat < bound == math.inf):
         raise PathInvariantError("var_q is %r: the norms of the composed path overflow" % var_q)
-    holds = infinite or var_q <= bound
+    holds = infinite or var_q <= bound + tiny + math.ulp(0.0)  # and bound rounds twice
     return BoundCheckReport(l_hat=l_hat, var_p=var_p, var_q=var_q, bound_holds=bool(holds))
 
 
 def _value_pairs(path: DiscretePath, composed: DiscretePath):
     """What the bound check scans: one sample of each (value, image) pair the
-    path holds, by value code then image code, its points, images and embeddings.
-
-    Values and images are grouped by float ``==`` on their rows, as ``pvar``
-    groups values: norms depend on entries alone, and a coordinate is as far
-    from 0.0 as from -0.0, so samples alike under ``==`` score alike.
+    path holds, by value code then image code, from the paths' value tables;
+    its point and image objects, those of the pair's first sample, the
+    tables' rows, and its image code.  A coordinate is as far from 0.0 as
+    from -0.0, so those rows score every pair as the samples' own would.
     """
-    pmat, imat = path.distinct_matrix(), composed.distinct_matrix()
-    at = np.arange(len(pmat))  # each value's image
-    if len(imat) < len(pmat):  # grouped images: each value's through its first sample
-        at = composed.codes[np.unique(path.codes, return_index=True)[1]]
-    pcode = np.asarray(_distinct_rows(pmat)[0])
-    icode = np.asarray(_distinct_rows(imat)[0])[at]
-    heads = np.unique(pcode * len(imat) + icode, return_index=True)[1]
-    at = at[heads]
-    points = [path.distinct[h] for h in heads.tolist()]
-    images = [composed.distinct[c] for c in at.tolist()]
-    return points, images, pmat[heads], imat[at]
+    (vcode, vrows), (icode, irows) = path.value_table(), composed.value_table()
+    key = vcode.astype(np.intp) * len(irows) + icode  # byte-sized codes would overflow
+    heads = np.unique(key, return_index=True)[1]
+    vcode, icode = vcode[heads], icode[heads]
+    points = [path.distinct[path.codes[h]] for h in heads.tolist()]
+    images = [composed.distinct[composed.codes[h]] for h in heads.tolist()]
+    return points, images, vrows[vcode], irows[icode], icode
 
 
 def _transfer_slack(n: int, p: float, q: float, e_p: float, e_i: float) -> float:

@@ -15,7 +15,9 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import NotASampleTime, PathInvariantError
-from .spaces import Vector, VectorSpace, _check_embed_size, _check_numbers, _embed, _one_per_space
+from .spaces import (
+    Vector, VectorSpace, _block_rows, _check_embed_size, _check_numbers, _embed, _one_per_space,
+)
 
 __all__ = ["DiscretePath", "MAX_SAMPLES"]
 
@@ -39,7 +41,7 @@ class DiscretePath:
 
     __slots__ = (
         "interval", "times", "space", "codes", "_distinct", "_values", "_rows", "_embedding",
-        "_matrix",
+        "_matrix", "_table",
     )
 
     def __init__(
@@ -81,7 +83,7 @@ class DiscretePath:
         for name, value in (
             ("interval", interval), ("times", times), ("space", space), ("codes", codes),
             ("_distinct", distinct), ("_values", values), ("_rows", rows), ("_embedding", None),
-            ("_matrix", None),
+            ("_matrix", None), ("_table", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -141,6 +143,20 @@ class DiscretePath:
         rows = np.zeros((len(self), self._rows[1].size))
         self._rows[0](rows)
         return rows
+
+    def value_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each sample's value code and the distinct rows, cached: the rows of
+        ``distinct_matrix()`` grouped by float == (-0.0 is 0.0) by first
+        appearance, as grouping every sample's row gives them, bit for bit.
+        Codes are a read-only integer array, of the smallest type if rows repeat."""
+        if self._table is None:
+            sub, rows = _distinct_rows(self.distinct_matrix())
+            codes = np.arange(len(self)) if isinstance(self.codes, range) else self.codes
+            if not isinstance(sub, range):  # equal rows under distinct objects
+                codes = sub.astype(np.min_scalar_type(len(rows) - 1))[codes]
+            codes.flags.writeable = False
+            object.__setattr__(self, "_table", (codes, rows))
+        return self._table
 
     def coordinate_matrix(self) -> np.ndarray:
         """The (samples, d) coordinate embedding of the values, cached: the
@@ -259,3 +275,63 @@ def _renumber(keys: np.ndarray) -> tuple[np.ndarray, range | np.ndarray]:
     codes = rank[inverse]
     codes.flags.writeable = False  # shared by the paths composed from this one
     return first[order], codes
+
+
+def _distinct_rows(mat: np.ndarray) -> tuple[range | np.ndarray, np.ndarray]:
+    """Code of each row, numbered by first appearance, and the distinct rows.
+
+    All distinct, ``mat`` comes back as is, with codes a range.  On tables
+    of 8 or more columns distinct hashes of the rows certify that: rows
+    equal under float == (finite, and -0.0 made 0.0) have equal bits, so
+    equal hashes.  Otherwise a stable sort of row indices and a neighbour
+    comparison per column find equal rows without copying ``mat``.
+    """
+    s, d = mat.shape
+    # below 8 columns the lexsort is as cheap (6,000 rows: 0.26 ms at 1
+    # column, 1.0 ms at 3; the hash 0.32 and 0.45 ms), and the hash's numpy
+    # kernels read as 0.1-0.25 MB more peak RSS on step4, whose tables all
+    # fall back; a stable sort of the hashes reads less than the default
+    if d >= 8:
+        hashes = np.sort(_row_hashes(mat), kind="stable")
+        if (hashes[1:] != hashes[:-1]).all():
+            return range(s), mat
+    order = np.lexsort(mat.T[::-1]) if d else np.arange(s)
+    new = np.zeros(s, dtype=bool)
+    new[0] = True
+    for col in mat.T:
+        srt = col[order]
+        new[1:] |= srt[1:] != srt[:-1]
+    heads = order[new]  # the stable sort puts each group's first index first
+    if heads.size == s:
+        return range(s), mat
+    lead = np.empty(s, dtype=np.intp)
+    lead[order] = heads[np.cumsum(new) - 1]
+    heads.sort()
+    return np.searchsorted(heads, lead), mat[heads]
+
+
+def _row_hashes(mat: np.ndarray) -> np.ndarray:
+    """Each row's hash, a block of rows at a time: the bits of its
+    coordinates, the sign and exponent xor-ed into the low bits, times an
+    odd constant a column, summed in uint64 with wraparound.  Each step is
+    exact, so equal bits hash alike; rows differing in one coordinate never
+    collide, as odd constants and the xor-shift are invertible."""
+    s, d = mat.shape
+    mult = _hash_multipliers(d)
+    out = np.empty(s, dtype=np.uint64)
+    step = _block_rows(d)
+    for a in range(0, s, step):
+        bits = (mat[a : a + step] + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
+        bits ^= bits >> np.uint64(52)
+        bits *= mult
+        bits.sum(axis=1, out=out[a : a + step])
+    return out
+
+
+def _hash_multipliers(d: int) -> np.ndarray:
+    """Fixed odd constants, one a column: steps of splitmix64, made odd."""
+    z = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    return z | np.uint64(1)

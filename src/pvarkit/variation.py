@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spaces
-from .errors import InvalidExponent, TooLarge
+from .errors import InvalidExponent, PathInvariantError, TooLarge
 from .paths import DiscretePath
 from .spaces import (
     _EPS,
@@ -118,66 +118,6 @@ def _check_pq(p: float, q: float) -> tuple[float, float]:
     return p, q
 
 
-def _distinct_rows(mat: np.ndarray) -> tuple[range | np.ndarray, np.ndarray]:
-    """Code of each row, numbered by first appearance, and the distinct rows.
-
-    All distinct, ``mat`` comes back as is, with codes a range.  On tables
-    of 8 or more columns distinct hashes of the rows certify that: rows
-    equal under float == (finite, and -0.0 made 0.0) have equal bits, so
-    equal hashes.  Otherwise a stable sort of row indices and a neighbour
-    comparison per column find equal rows without copying ``mat``.
-    """
-    s, d = mat.shape
-    # below 8 columns the lexsort is as cheap (6,000 rows: 0.26 ms at 1
-    # column, 1.0 ms at 3; the hash 0.32 and 0.45 ms), and the hash's numpy
-    # kernels read as 0.1-0.25 MB more peak RSS on step4, whose tables all
-    # fall back; a stable sort of the hashes reads less than the default
-    if d >= 8:
-        hashes = np.sort(_row_hashes(mat), kind="stable")
-        if (hashes[1:] != hashes[:-1]).all():
-            return range(s), mat
-    order = np.lexsort(mat.T[::-1]) if d else np.arange(s)
-    new = np.zeros(s, dtype=bool)
-    new[0] = True
-    for col in mat.T:
-        srt = col[order]
-        new[1:] |= srt[1:] != srt[:-1]
-    heads = order[new]  # the stable sort puts each group's first index first
-    if heads.size == s:
-        return range(s), mat
-    lead = np.empty(s, dtype=np.intp)
-    lead[order] = heads[np.cumsum(new) - 1]
-    heads.sort()
-    return np.searchsorted(heads, lead), mat[heads]
-
-
-def _row_hashes(mat: np.ndarray) -> np.ndarray:
-    """Each row's hash, a block of rows at a time: the bits of its
-    coordinates, the sign and exponent xor-ed into the low bits, times an
-    odd constant a column, summed in uint64 with wraparound.  Each step is
-    exact, so equal bits hash alike; rows differing in one coordinate never
-    collide, as odd constants and the xor-shift are invertible."""
-    s, d = mat.shape
-    mult = _hash_multipliers(d)
-    out = np.empty(s, dtype=np.uint64)
-    step = spaces._block_rows(d)
-    for a in range(0, s, step):
-        bits = (mat[a : a + step] + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
-        bits ^= bits >> np.uint64(52)
-        bits *= mult
-        bits.sum(axis=1, out=out[a : a + step])
-    return out
-
-
-def _hash_multipliers(d: int) -> np.ndarray:
-    """Fixed odd constants, one a column: steps of splitmix64, made odd."""
-    z = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    return z | np.uint64(1)
-
-
 def pvar(path: DiscretePath, p: float) -> PVarResult:
     """Exact p-variation of ``path`` by dynamic programming.
 
@@ -204,7 +144,7 @@ def pvar(path: DiscretePath, p: float) -> PVarResult:
     below the previous value's candidate.  Each returns V and predecessors
     in the arrays of ``_dp_state``, for ``_walk_back``."""
     p = _check_exponent(p)
-    codes, rows = _value_table(path)
+    codes, rows = path.value_table()
     k, cols = rows.shape
     route = _table_dp if k <= TABLE_MAX_VALUES else _batched_dp if cols < 8 else _scan_dp
     with np.errstate(over="ignore"):  # an infinite power or bound is taken as such
@@ -229,23 +169,6 @@ def _walk_back(pred: Sequence[int]) -> list[int]:
     partition.append(0)
     partition.reverse()
     return partition
-
-
-def _value_table(path: DiscretePath) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's code and the distinct rows, numbered by first appearance.
-
-    The rows of the path's distinct value objects are grouped by float ==
-    (so -0.0 and 0.0 are one value), and their codes taken through the
-    path's: the table grouping every sample's row would give, bit for bit.
-    Codes come as an integer array: a range as ``np.arange``, as
-    ``np.asarray`` of a range reads a Python int a sample.
-    """
-    sub, rows = _distinct_rows(path.distinct_matrix())
-    codes = path.codes
-    if not isinstance(sub, range):  # equal rows under distinct objects, coded in bytes if few
-        sub = sub.astype(np.min_scalar_type(len(rows) - 1))
-        codes = sub if isinstance(codes, range) else sub[codes]
-    return np.arange(len(codes)) if isinstance(codes, range) else codes, rows
 
 
 def _step(i: int, c: int, v: float, hits, seen: int, own, at, arg, link, best, pred) -> int:
@@ -609,9 +532,9 @@ def partition_sum(path: DiscretePath, indices: Sequence[int], p: float) -> float
 
     The indices must be integers, strictly increasing, from 0 to ``path.n``;
     anything else raises ``ValueError``.  Taken as ``pvar`` takes it: each
-    norm by ``pair_distances`` on the path's ``distinct_matrix()``, the
-    powers by array ``**``, their sum left to right in Python floats; so a
-    partition ``pvar`` reports gives back its value exactly.
+    norm by ``pair_distances`` on the rows of the path's ``value_table()``,
+    the powers by array ``**``, their sum left to right in Python floats;
+    so a partition ``pvar`` reports gives back its value exactly.
     ``pvar_bruteforce`` is the independent check.
     """
     p = _check_exponent(p)
@@ -623,18 +546,25 @@ def partition_sum(path: DiscretePath, indices: Sequence[int], p: float) -> float
         raise ValueError(
             "partition indices must be strictly increasing integers in [0, %d]" % path.n
         )
-    if not isinstance(path.codes, range):
-        at = path.codes[at]
+    codes, rows = path.value_table()
+    at = codes[at]
     total = 0.0
-    for term in (pair_distances(path.distinct_matrix(), at[:-1], at[1:], path.space.norm) ** p).tolist():
+    for term in (pair_distances(rows, at[:-1], at[1:], path.space.norm) ** p).tolist():
         total += term
     return total
 
 
 def bv_norm(path: DiscretePath, p: float) -> float:
-    """Norm of the starting value plus the p-th root of the p-variation."""
+    """Norm of the starting value plus the p-th root of the p-variation.
+
+    A path of more than one value whose p-variation underflowed to 0.0
+    has no root to take and raises :class:`PathInvariantError`.
+    """
     p = _check_exponent(p)
-    return vector_norm(path.distinct[0]) + pvar(path, p).value ** (1.0 / p)
+    var, k = pvar(path, p).value, len(path.value_table()[1])
+    if var == 0.0 and k > 1:
+        raise PathInvariantError("the %g-variation of a path of %d values underflows to 0" % (p, k))
+    return vector_norm(path.distinct[0]) + var ** (1.0 / p)
 
 
 def sup_norm(path: DiscretePath) -> float:

@@ -113,10 +113,40 @@ def test_holder_command(tmp_path, capsys):
         ["holder", "--points", inp, "--gen", gen, "--alpha", "0.5", "--out", str(out)]
     )
     assert code == EXIT_OK
-    doc = json.loads(out.read_text())
+    doc = strict_json(out)
     assert doc["constant"] == 1.0
     assert doc["pair_count"] == 3
     assert doc["infinite"] is False
+
+
+@pytest.mark.parametrize(
+    "xs, gen, alpha, message",
+    [
+        # both l2 norms overflow: the one ratio is inf / inf
+        ([0.0, 1e200], {"name": "identity"}, "0.5",
+         "L_hat is undefined: every Holder ratio is NaN, as norms overflow"),
+        # images 1e200 apart: their l2 norm overflows, and so does the ratio
+        ([0.0, 1.0, 0.5], {"name": "scalar_lipschitz", "breakpoints": [[0, 0], [1, 1e200]]}, "1",
+         "the Holder constant is inf: the ratios overflow"),
+    ],
+)
+def test_holder_with_overflowing_norms_exits_3(tmp_path, capsys, xs, gen, alpha, message):
+    # as bound-check refuses these norms; JSON has no Infinity to write
+    pts = {
+        "space": {"kind": "dense", "dim": 1, "norm": "l2"},
+        "points": [{"dense": [x]} for x in xs],
+    }
+    inp = write_json(tmp_path / "pts.json", pts)
+    gen = write_json(tmp_path / "g.json", gen)
+    out = tmp_path / "h.json"
+    argv = ["holder", "--points", inp, "--gen", gen, "--alpha", alpha, "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_INVARIANT
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == "invariant violation: %s\n" % message
+    assert captured.out == "" and not out.exists()
 
 
 def test_bound_check_pass_and_fail(tmp_path, capsys):
@@ -638,6 +668,52 @@ def test_lab_thm6_and_remark_run_clean(tmp_path):
         ["lab", "--experiment", "remark", "--depths", "1,4",
          "--out", str(tmp_path / "r.csv")]
     ) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # 2^1100 overflows: m |f(u) - f(w)|^q and var_q are both inf
+        (["--experiment", "thm6", "--q", "1100"],
+         "depth 4: quantity inf and claimed bound inf must be finite"),
+        (["--experiment", "thm6", "--q", "1100", "--seed", "1"],
+         "depth 1: quantity inf and claimed bound inf must be finite"),
+        # f(0.81) = 8.1e199, whose l2 norm overflows: so does the claim
+        (["--experiment", "remark", "--gen", "big", "--depths", "1"],
+         "depth 1: quantity inf and claimed bound inf must be finite"),
+        # 0.9^7100 underflows to 0: no root to take
+        (["--experiment", "remark", "--q", "7100"],
+         "the 7100-variation of a path of 2 values underflows to 0"),
+    ],
+)
+def test_lab_refuses_a_claim_it_cannot_compute(tmp_path, capsys, flags, message):
+    big = {"name": "scalar_lipschitz", "breakpoints": [[0, 0], [1, 1e200]]}
+    big = write_json(tmp_path / "g.json", big)
+    flags = [big if f == "big" else f for f in flags]
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["lab", *flags, "--out", str(out)]) == EXIT_INVARIANT
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == "invariant violation: %s\n" % message
+    assert captured.out == ""
+    assert [f.name for f in tmp_path.iterdir()] == ["g.json"]
+
+
+def test_lab_writes_both_files_and_exits_4_on_a_failed_claim(tmp_path, capsys, monkeypatch):
+    report = lab.ClaimReport.build([1, 4, 16], [1.0, 1.0, 5.0], [0.5, 2.0, 8.0], lower=True)
+    monkeypatch.setattr(cli, "remark_experiment", lambda **kwargs: report)
+    out, summary = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(["lab", "--experiment", "remark", "--out", str(out)]) == EXIT_CLAIM
+    captured = capsys.readouterr()
+    assert "depth 4: quantity 1 vs claimed 2 -> FAILED" in captured.out
+    assert captured.err == (
+        "claimed bound failed at depth(s) 4,16: this signals a bug or a violated precondition\n"
+    )
+    with open(out, newline="") as fp:
+        assert [row[3] for row in csv.reader(fp)] == ["satisfied", "true", "false", "false"]
+    assert strict_json(summary)["all_satisfied"] is False
 
 
 def test_lab_example3_covering_note(tmp_path, capsys):

@@ -374,6 +374,24 @@ def test_divergence_run_certifies_growth():
     assert all(a >= b for a, b in zip(report.quantities, report.bounds))
 
 
+def test_divergence_run_refuses_an_m_below_the_pair_points_peak():
+    f = Generator.power(0.25)
+    pairs = find_holder_violators(f, 1.0, 2.0, 2.0 ** -2.5, POWER_CANDIDATES, 2)
+    peak = max(norm(f(v)) for pair in pairs for v in pair)
+    with pytest.raises(ValueError, match="does not dominate max \\|f\\| over the pair points"):
+        run_divergence_step6(f, 1.0, 2.0, pairs, M=peak / 2.0, depths=(1, 2))
+
+
+def test_divergence_run_refuses_a_pair_failing_the_growth_gap():
+    # under the identity, |u - w| = 1/4 is not above 4 M |u - w|^(1/2) = 1
+    # with M = |u| = 1/2: the search would not return the pair, and handed
+    # in it is refused by the same test
+    f = Generator.identity()
+    u, w = Vector.dense([0.5]), Vector.dense([0.25])
+    with pytest.raises(GapConditionViolated, match="pair 1 fails the growth gap"):
+        run_divergence_step6(f, 1.0, 2.0, [(u, w)], depths=(1,))
+
+
 def test_capped_block_lowers_its_claim():
     # a capped block must only claim what its truncated spike count certifies
     f = Generator.power(0.25)

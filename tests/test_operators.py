@@ -646,6 +646,58 @@ def test_bound_check_on_repeated_values_scans_each_value_pair_once(shared, monke
     assert sizes == [2, 2]
 
 
+def test_each_path_is_grouped_by_value_once(monkeypatch):
+    # the value table is cached on the path: a bound check groups the path
+    # and its composition once each, and a second pvar of one path groups
+    # nothing
+    calls, group = [], paths._distinct_rows
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return group(mat)
+
+    monkeypatch.setattr(paths, "_distinct_rows", counted)
+    monkeypatch.setattr(operators, "_distinct_rows", counted)
+    walk = np.cumsum(np.random.default_rng(29).standard_normal(250))
+    path = scalar_path(np.round(walk, 1).tolist())
+    composition_bound_check(Generator.power(0.5), path, 1.0, 2.0)
+    assert calls == [(250, 1), (250, 1)]
+    calls.clear()
+    path = scalar_path(walk.tolist())
+    pvar(path, 1.0)
+    pvar(path, 2.0)
+    assert calls == [(250, 1)]
+
+
+def test_holder_estimate_refuses_ratios_that_are_all_nan():
+    # both l2 norms overflow: the one ratio is inf / inf, and no estimate
+    # is left, as the bound check finds
+    points = [Vector.dense([0.0]), Vector.dense([1e200])]
+    with np.errstate(all="ignore"), pytest.raises(PathInvariantError, match="L_hat is undefined"):
+        estimate_holder(Generator.identity(), points, 0.5)
+    est = estimate_holder(Generator.identity(), points[:1] + [Vector.dense([2.0 ** 200])], 0.5)
+    assert est.constant == 2.0 ** 100 and est.pair_count == 1
+
+
+def test_bound_check_pairs_many_repeated_values_by_their_codes(monkeypatch):
+    # 60 values, each under several objects as a JSON path holds them, and
+    # 31 images of |x|: the codes come in bytes, and the pair key value * 31
+    # + image must not wrap in them; each of the 60 pairs is scanned once
+    scan, sizes = operators._holder_scan, []
+    monkeypatch.setattr(
+        operators, "_holder_scan", lambda points, *rest: sizes.append(len(points)) or scan(points, *rest)
+    )
+    xs = np.random.default_rng(60).permutation(np.repeat(np.arange(-30.0, 30.0) / 32.0, 4))
+    path = scalar_path(xs.tolist())
+    f = Generator.scalar_lipschitz([(-1.0, 1.0), (0.0, 0.0), (1.0, 1.0)])
+    tables = path.value_table(), compose_path(f, path).value_table()
+    assert [(codes.dtype, len(rows)) for codes, rows in tables] == [(np.uint8, 60), (np.uint8, 31)]
+    assert repr(composition_bound_check(f, path, 1.0, 2.0).l_hat) == repr(
+        reference_holder(f, path.values, 0.5)[0]
+    )
+    assert sizes == [60]
+
+
 # p and q giving each alpha the Holder cases draw
 PQ = {0.37: (1.0, 2.7), 0.5: (1.0, 2.0), 1.0: (2.0, 2.0)}
 
@@ -658,6 +710,7 @@ FLAT = Generator.scalar_lipschitz([(-1.0, 0.0), (1.0, 0.0)])
 # sign map: an infinite ratio, as is 1e-200's at l2 distance zero from both
 SIGNED_ZEROS = [Vector.dense([x]) for x in (0.0, 1.0, -0.0, 0.5, 0.0, -1.0, -0.0)]
 SIGN = Generator.custom(lambda v: Vector.dense([math.copysign(1.0, v.data[0])]))
+HALF = Generator.custom(lambda v: 0.5 * v)
 
 
 @given(holder_cases(), st.booleans())
@@ -670,6 +723,8 @@ SIGN = Generator.custom(lambda v: Vector.dense([math.copysign(1.0, v.data[0])]))
 @example((Generator.identity(), SIGNED_ZEROS, 0.5), True)
 @example((SIGN, SIGNED_ZEROS, 0.5), False)
 @example((SIGN, SIGNED_ZEROS + [Vector.dense([1e-200])], 1.0), True)
+# var_q's two powers are subnormal and round up past L_hat^2 var_p by 2^-1074
+@example((HALF, [Vector.dense([x], L1) for x in (0.0, 7.078611016581123e-161, 0.0)], 0.5), False)
 def test_bound_check_estimate_is_the_pair_loops_over_the_samples(case, fresh):
     # the scan over (value, image) pairs grouped by == gives the L_hat and
     # infinite flag the pair loop gives over every sample; fresh copies

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvarkit import paths, spaces, variation
+from pvarkit import paths, spaces
 from pvarkit.errors import NotASampleTime, PathInvariantError, TooLarge
 from pvarkit.operators import Generator, compose_path
 from pvarkit.paths import DiscretePath
@@ -175,8 +175,8 @@ def test_grouping_by_object_matches_the_sample_rows(path):
     assert [path.distinct[c] for c in path.codes] == path.values
     assert all(v is path.distinct[c] for v, c in zip(path.values, path.codes))
     assert _bits(path.coordinate_matrix()) == _bits(spaces.coordinate_matrix(path.values))
-    codes, rows = variation._value_table(path)
-    want_codes, want_rows = variation._distinct_rows(path.coordinate_matrix())
+    codes, rows = path.value_table()
+    want_codes, want_rows = paths._distinct_rows(path.coordinate_matrix())
     assert list(codes) == list(want_codes) and _bits(rows) == _bits(want_rows)
     # the DP on every sample's own object reads the same table
     own = DiscretePath(path.times, [Vector(v.space, copy.copy(v.data)) for v in path.values])

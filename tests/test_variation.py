@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvarkit import spaces, variation
-from pvarkit.errors import InvalidExponent, TooLarge
+from pvarkit import paths, spaces, variation
+from pvarkit.errors import InvalidExponent, PathInvariantError, TooLarge
 from pvarkit.lab import (
     find_holder_violators,
     gen_example3,
@@ -71,6 +71,37 @@ def test_partition_sum_refuses_malformed_chains(chain):
     assert partition_sum(path, [0, 1, 2, 3], 2.0) == 11.25
     assert partition_sum(path, np.array([0, 2, 3], dtype=np.uint8), 2.0) == 9.0 + 6.25
     assert partition_sum(path, [], 2.0) == partition_sum(path, [3], 2.0) == 0.0
+
+
+def test_partition_sum_gives_back_the_value_on_spike_trains():
+    # spike trains and their compositions hold few value objects, coded by
+    # an array, not a range; each starts at a zero object and holds 0 again
+    # as a pair point, one row under two objects, so the re-sum reads the
+    # DP's value table, not the codes of the objects
+    f = Generator.power(0.25)
+    candidates = power_divergence_candidates()
+    M = max(vector_norm(f(v)) for v in candidates)
+    pairs = find_holder_violators(f, 1.0, 2.0, M, candidates, 8)
+    trains = [gen_step4_path(1.0, 2.0, pairs, d) for d in (1, 4, 8)]
+    trains += [compose_path(f, path) for path in trains]
+    trains.append(compose_path(Generator.custom(lambda v: 0.0 * v), trains[0]))
+    for path in trains:
+        assert not isinstance(path.codes, range)
+        for p in (1.0, 2.0, 3.0):
+            res = pvar(path, p)
+            assert partition_sum(path, res.partition, p) == res.value
+
+
+def test_bv_norm_refuses_a_variation_that_underflows():
+    # 0.9^7100 is below the smallest subnormal: the q-variation of a path of
+    # two values is 0.0, and its root would read 0 where the norm is 0.9;
+    # at q = 7000 the variation is subnormal, and the root is taken
+    path = scalar_path([0.0, 0.9, 0.0])
+    assert pvar(path, 7100.0).value == 0.0
+    with pytest.raises(PathInvariantError, match="7100-variation of a path of 2 values underflows"):
+        bv_norm(path, 7100.0)
+    assert bv_norm(path, 7000.0) == pytest.approx(0.9, rel=1e-3)
+    assert bv_norm(scalar_path([0.9, 0.9]), 7100.0) == 0.9  # one value: no root to take
 
 
 def test_two_point_path():
@@ -574,7 +605,7 @@ def test_narrow_walks_take_the_batched_route(cols, monkeypatch):
     # predecessor are the scan's, which these tables no longer take
     walk = np.cumsum(np.random.default_rng(cols).standard_normal((6000, cols)), axis=0)
     path = DiscretePath(np.linspace(0.0, 1.0, 6000), [Vector.dense(r) for r in walk])
-    codes, rows = variation._value_table(path)  # integer codes, as pvar hands a route
+    codes, rows = path.value_table()  # integer codes, as pvar hands a route
     full = variation._scan_dp(codes, rows, L2, 2.0)
     taken = taken_routes(monkeypatch)
     monkeypatch.setattr(variation, "_DistanceBound", None)  # fails if built
@@ -768,7 +799,7 @@ def table_dp_state(path, p, monkeypatch):
 
     monkeypatch.setattr(variation, "_step", kept)
     monkeypatch.setattr(variation, "_take_run", counted)
-    codes, rows = variation._value_table(path)
+    codes, rows = path.value_table()
     best, pred = variation._table_dp(codes, rows, path.space.norm, p)
     return best, pred, links[0], sum(taken)
 
@@ -850,10 +881,10 @@ def test_row_hashes_certify_the_lexsort_grouping(mat, block_bytes):
     # multiplier zero, fall back to the sort: the same codes and rows
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spaces, "BLOCK_BYTES", block_bytes)
-        got = variation._distinct_rows(mat)
+        got = paths._distinct_rows(mat)
         _same_grouping(got, grouped_by_value(mat))
-        patch.setattr(variation, "_hash_multipliers", lambda d: np.zeros(d, dtype=np.uint64))
-        _same_grouping(variation._distinct_rows(mat), got)
+        patch.setattr(paths, "_hash_multipliers", lambda d: np.zeros(d, dtype=np.uint64))
+        _same_grouping(paths._distinct_rows(mat), got)
 
 
 def test_row_hashes_wrap_around_exactly(monkeypatch):
@@ -866,12 +897,12 @@ def test_row_hashes_wrap_around_exactly(monkeypatch):
     twin = mat[1::4]
     twin[...] = mat[::4]
     twin[twin == 0.0] = -0.0  # the rows above, zeros of the other sign
-    mult = [int(c) for c in variation._hash_multipliers(9)]
+    mult = [int(c) for c in paths._hash_multipliers(9)]
     assert all(c % 2 for c in mult) and len(set(mult)) == 9
     want = []
     for row in (mat + 0.0).view(np.uint64).tolist():
         want.append(sum((x ^ x >> 52) * c for x, c in zip(row, mult)) % 2 ** 64)
-    got = variation._row_hashes(mat)
+    got = paths._row_hashes(mat)
     assert got.dtype == np.uint64 and got.tolist() == want
     assert np.array_equal(got[::4], got[1::4])
 
@@ -880,5 +911,5 @@ def test_grouping_certificate_passes_wide_example3_tables(monkeypatch):
     # every row of the embedding distinct: no sort, the table comes back as is
     mat = gen_example3(300).distinct_matrix()
     monkeypatch.setattr(np, "lexsort", None)  # fails if called
-    codes, rows = variation._distinct_rows(mat)
+    codes, rows = paths._distinct_rows(mat)
     assert codes == range(len(mat)) and rows is mat
